@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -342,8 +343,11 @@ CampaignBenchResult run_campaign_bench() {
 /// figure is the gateable output and joins the tracked kernels.
 struct ScalingPoint {
   unsigned jobs = 0;
-  double trials_per_sec = 0.0;  ///< marginal streaming throughput
-  double efficiency = 0.0;      ///< trials_per_sec / (jobs * jobs=1 rate)
+  /// Marginal streaming throughput; nullopt when the tiled grid did not
+  /// take measurably longer than the base grid (noise swamped the margin).
+  std::optional<double> trials_per_sec;
+  /// trials_per_sec / (jobs * jobs=1 rate); nullopt when either is.
+  std::optional<double> efficiency;
 };
 
 struct ScalingBenchResult {
@@ -419,7 +423,7 @@ ScalingBenchResult run_scaling_bench() {
     return best;
   };
 
-  double jobs1_rate = 0.0;
+  std::optional<double> jobs1_rate;
   for (const unsigned jobs : job_counts) {
     config.jobs = jobs;
     const double base_sec = wall_best(base_trials);
@@ -427,13 +431,12 @@ ScalingBenchResult run_scaling_bench() {
     const double marginal = full_sec - base_sec;
     ScalingPoint point;
     point.jobs = jobs;
-    point.trials_per_sec =
-        marginal > 0.0 ? static_cast<double>(window) / marginal : 0.0;
+    if (marginal > 0.0)
+      point.trials_per_sec = static_cast<double>(window) / marginal;
     if (jobs == 1) jobs1_rate = point.trials_per_sec;
-    point.efficiency =
-        jobs1_rate > 0.0
-            ? point.trials_per_sec / (static_cast<double>(jobs) * jobs1_rate)
-            : 0.0;
+    if (point.trials_per_sec && jobs1_rate)
+      point.efficiency =
+          *point.trials_per_sec / (static_cast<double>(jobs) * *jobs1_rate);
     result.points.push_back(point);
   }
   return result;
@@ -624,10 +627,18 @@ void write_json(std::ostream& os,
        << "    \"points\": [";
     bool first_point = true;
     for (const ScalingPoint& point : scaling->points) {
+      const auto json = [&os](const std::optional<double>& value) {
+        if (value)
+          os << *value;
+        else
+          os << "null";
+      };
       os << (first_point ? "\n" : ",\n")
-         << "      {\"jobs\": " << point.jobs
-         << ", \"trials_per_sec\": " << point.trials_per_sec
-         << ", \"efficiency\": " << point.efficiency << "}";
+         << "      {\"jobs\": " << point.jobs << ", \"trials_per_sec\": ";
+      json(point.trials_per_sec);
+      os << ", \"efficiency\": ";
+      json(point.efficiency);
+      os << "}";
       first_point = false;
     }
     os << "\n    ]\n  }";
@@ -944,10 +955,18 @@ int run_perf_suite(const PerfOptions& options) {
     scaling = run_scaling_bench();
     bool first_point = true;
     for (const ScalingPoint& point : scaling.points) {
+      const auto text = [](const std::optional<double>& value,
+                           const char* format) {
+        if (!value) return std::string("n/a");
+        char buf[32];
+        std::snprintf(buf, sizeof buf, format, *value);
+        return std::string(buf);
+      };
       std::fprintf(stderr,
-                   "  %-28s jobs=%-3u %10.1f trials/sec  efficiency %4.2f\n",
+                   "  %-28s jobs=%-3u %10s trials/sec  efficiency %4s\n",
                    first_point ? "scaling.mitigations" : "", point.jobs,
-                   point.trials_per_sec, point.efficiency);
+                   text(point.trials_per_sec, "%.1f").c_str(),
+                   text(point.efficiency, "%.2f").c_str());
       first_point = false;
     }
     std::fprintf(stderr,

@@ -29,8 +29,9 @@ set -euo pipefail
 #             sweep purely from the on-disk setup store the shards left
 #             behind. Shard manifests land in $ROOT/ci-artifacts on failure.
 #             Streaming is the shard-mode default; the stage also reruns the
-#             sweep --no-streaming and as a streaming plain run, cmp'ing both
-#             against the same reference bytes.
+#             sweep --no-streaming, as a streaming plain run, and with setup
+#             reuse off at --jobs 1, cmp'ing each against the same reference
+#             bytes.
 #   tsan      -DMEECC_SANITIZE=thread build; runs the parallel suites that
 #             hammer the lock-free MPSC queue, the committer pipeline, and
 #             the atomic bed-pool stats, so every data race on the per-trial
@@ -122,13 +123,20 @@ elif [ "$STAGE" = "shard" ]; then
   CAMPAIGN="$DIR/campaign"
   STORE="$DIR/setup-store"
   rm -rf "$CAMPAIGN" "$STORE"
-  # mitigations is the sweep with a setup_key, so the shards genuinely
+  # mitigations is the sweep that declares setups, so the shards genuinely
   # exercise the snapshot serialization path through the on-disk store.
   # No --quiet: the "setup reuse" stderr line is asserted on below.
   SWEEP=(run mitigations --seeds 3)
 
   echo "--- unsharded reference (6 trials) ---"
   "$BENCH" "${SWEEP[@]}" --jobs 4 --json "$DIR/reference.jsonl" > /dev/null
+
+  echo "--- setup reuse off, one job: same bytes as the reuse reference ---"
+  # The reference ran its setups as scheduled work items and released them;
+  # fresh per-trial setups must be observationally identical.
+  "$BENCH" "${SWEEP[@]}" --no-reuse-setup --jobs 1 \
+    --json "$DIR/no-reuse.jsonl" > /dev/null
+  cmp "$DIR/reference.jsonl" "$DIR/no-reuse.jsonl"
 
   echo "--- shards 1/3 and 3/3 to completion, 2/3 killed after one trial ---"
   "$BENCH" "${SWEEP[@]}" --jobs 1 --setup-store "$STORE" \

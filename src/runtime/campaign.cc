@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -291,8 +292,8 @@ CampaignShardResult run_campaign_shard(const Experiment& experiment,
   std::size_t count = range.end - first;
   if (options.stop_after != 0 && options.stop_after < count)
     count = options.stop_after;
-  const std::vector<TrialSpec> work(trials.begin() + first,
-                                    trials.begin() + first + count);
+  const std::span<const TrialSpec> work =
+      std::span(trials).subspan(first, count);
 
   std::ofstream out(data_path, std::ios::binary | std::ios::app);
   if (!out) throw std::runtime_error("cannot append to '" + data_path + "'");

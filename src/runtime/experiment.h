@@ -5,10 +5,12 @@
 // `meecc_bench run <name>` reproduce its paper figure.
 //
 // Every trial owns its simulator (TestBed/System are built inside run()
-// from the spec alone), so trials are embarrassingly parallel and results
-// are bit-identical at any worker count.
+// from the spec alone, or forked from an immutable shared warm setup), so
+// trials share no mutable state and results are bit-identical at any
+// worker count.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -64,6 +66,24 @@ struct TrialResult {
   std::optional<double> find_metric(std::string_view name) const;
 };
 
+/// The warm setup states a trial shares with other trials (snapshot/fork
+/// support). Each key names one state — by convention the experiment name,
+/// the machine seed, and every machine/setup-affecting param (measure-phase
+/// params excluded, so trials differing only there share one setup). The
+/// runner resolves each distinct key once as its own work item, ahead of
+/// the trials that declare it, and drops the state after the last of them
+/// finishes; run() fetches the same states with memoized_setup().
+struct SetupDeclaration {
+  /// Keys of every warm state run(spec) fetches. An exception here means
+  /// "declares nothing": the trial then runs, and fails, on its own.
+  std::function<std::vector<std::string>(const TrialSpec&)> keys = nullptr;
+  /// Resolves keys(spec)[slot] alone: makes the same memoized_setup() fetch
+  /// run(spec) makes for that key, under the runner's TrialContext.
+  std::function<void(const TrialSpec&, std::size_t slot)> resolve = nullptr;
+
+  explicit operator bool() const { return keys && resolve; }
+};
+
 struct Experiment {
   std::string name;
   std::string description;
@@ -77,14 +97,10 @@ struct Experiment {
   /// replaces the default axis.
   std::vector<std::pair<std::string, std::string>> default_sweeps;
   std::function<TrialResult(const TrialSpec&)> run;
-  /// Optional snapshot/fork support: maps a trial to the key naming the
-  /// warm setup state it can share — by convention the experiment name,
-  /// the seed, and every machine/setup-affecting param (measure-phase
-  /// params excluded, so trials differing only there share one setup).
-  /// When set, the runner installs a sweep-wide SetupCache reachable via
-  /// runtime::TrialContext and run() fetches states with memoized_setup()
-  /// under keys prefixed by setup_key(spec). Null = no sharing.
-  std::function<std::string(const TrialSpec&)> setup_key = nullptr;
+  /// Optional snapshot/fork support. When set, the runner installs a
+  /// sweep-wide SetupCache reachable via runtime::TrialContext and
+  /// schedules the declared setups (runner.h). Empty = no sharing.
+  SetupDeclaration setups = {};
 };
 
 }  // namespace meecc::runtime

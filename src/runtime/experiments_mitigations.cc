@@ -235,17 +235,22 @@ class TrialBed {
   PooledBed entry_;
 };
 
-/// End-to-end attack attempt (Algorithm 1 + discovery + Algorithm 2) for
-/// `spec` with `seed`. The setup phase is fetched through the memoized warm
-/// state and the measure phase ALWAYS runs on a fork — with or without an
-/// ambient SetupCache the execution path is identical, so snapshot reuse
-/// cannot change results.
-ChannelOutcome attempt_channel(const TrialSpec& spec, std::uint64_t seed,
-                               const std::vector<std::uint8_t>& payload) {
+/// Setup attempts per trial: attempt i runs on machine seed spec.seed + i.
+std::uint64_t setup_attempts(const TrialSpec& spec) {
+  return param_u64(spec, "setup_attempts", 2);
+}
+
+channel::TestBedConfig attempt_config(const TrialSpec& spec,
+                                      std::uint64_t seed) {
   channel::TestBedConfig config = make_testbed_config(spec);
   config.system.seed = seed;
-  const std::string key = warm_key_for(spec, seed);
-  const auto warm = memoized_setup<ChannelWarmState>(
+  return config;
+}
+
+/// The memoized warm state of the machine `config` describes, under `key`.
+std::shared_ptr<const ChannelWarmState> fetch_warm_state(
+    const channel::TestBedConfig& config, const std::string& key) {
+  return memoized_setup<ChannelWarmState>(
       key, [&] { return warm_channel_setup(config); },
       [&](const ChannelWarmState& state) {
         return encode_warm_state(config, state);
@@ -253,6 +258,38 @@ ChannelOutcome attempt_channel(const TrialSpec& spec, std::uint64_t seed,
       [&](std::string_view payload) {
         return decode_warm_state(config, payload);
       });
+}
+
+/// One warm state per attempt seed: keys for spec.seed ...
+/// spec.seed + setup_attempts - 1, each resolved by the fetch
+/// attempt_channel makes.
+SetupDeclaration attempt_setups() {
+  return {.keys =
+              [](const TrialSpec& spec) {
+                std::vector<std::string> keys;
+                const std::uint64_t attempts = setup_attempts(spec);
+                for (std::uint64_t i = 0; i < attempts; ++i)
+                  keys.push_back(warm_key_for(spec, spec.seed + i));
+                return keys;
+              },
+          .resolve =
+              [](const TrialSpec& spec, std::size_t slot) {
+                const std::uint64_t seed = spec.seed + slot;
+                fetch_warm_state(attempt_config(spec, seed),
+                                 warm_key_for(spec, seed));
+              }};
+}
+
+/// End-to-end attack attempt (Algorithm 1 + discovery + Algorithm 2) for
+/// `spec` with `seed`. The setup phase is fetched through the memoized warm
+/// state and the measure phase ALWAYS runs on a fork — with or without an
+/// ambient SetupCache the execution path is identical, so snapshot reuse
+/// cannot change results.
+ChannelOutcome attempt_channel(const TrialSpec& spec, std::uint64_t seed,
+                               const std::vector<std::uint8_t>& payload) {
+  const channel::TestBedConfig config = attempt_config(spec, seed);
+  const std::string key = warm_key_for(spec, seed);
+  const auto warm = fetch_warm_state(config, key);
   TrialBed bed(config, key + "|measure", warm);
   ChannelOutcome outcome;
   if (warm->setup_ok) {
@@ -282,7 +319,7 @@ TrialResult run_mitigation_channel(const TrialSpec& spec) {
   // Eviction-set construction success rate: Algorithm 1 end-to-end over a
   // few independent seeds (a randomized index may make it flaky rather than
   // impossible).
-  const auto attempts = param_u64(spec, "setup_attempts", 2);
+  const auto attempts = setup_attempts(spec);
   std::uint64_t setups_ok = 0;
   ChannelOutcome main_outcome;
   for (std::uint64_t i = 0; i < attempts; ++i) {
@@ -356,9 +393,7 @@ void register_mitigation_experiments() {
                           {"legit_samples", "3000"}},
        .default_sweeps = {{"mee.cache.indexing", "modulo,keyed"}},
        .run = run_mitigation_channel,
-       .setup_key = [](const TrialSpec& spec) {
-         return warm_key_for(spec, spec.seed);
-       }});
+       .setups = attempt_setups()});
   register_experiment(
       {.name = "mitigation_rekey",
        .description = "periodic MEE-cache flush+rekey: channel degradation "
@@ -371,9 +406,7 @@ void register_mitigation_experiments() {
                           {"legit_samples", "3000"}},
        .default_sweeps = {{"mee.cache.rekey_period", "0,20000,5000,1000"}},
        .run = run_mitigation_channel,
-       .setup_key = [](const TrialSpec& spec) {
-         return warm_key_for(spec, spec.seed);
-       }});
+       .setups = attempt_setups()});
 }
 
 }  // namespace meecc::runtime

@@ -6,7 +6,9 @@
 #include <exception>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/mpsc_queue.h"
@@ -71,6 +73,123 @@ TrialRecord run_one(const Experiment& experiment, const TrialSpec& spec,
   return record;
 }
 
+/// The sweep's work list. Without declared setups (or with reuse off) it
+/// is the trials in order. Otherwise every distinct declared key is also
+/// one setup item, placed `lookahead` trials ahead of the first trial that
+/// declares it, so another worker is already resolving it when that trial
+/// starts instead of the trial discovering — and blocking on — it. Each
+/// key is refcounted (its declaring trials plus its own item); whoever
+/// drops the last reference releases the state from the cache.
+class WorkPlan {
+ public:
+  struct Item {
+    std::size_t index;  ///< trial index, or setup index when `setup`
+    bool setup;
+  };
+
+  WorkPlan(const Experiment& experiment, std::span<const TrialSpec> trials,
+           SetupCache* cache, std::size_t lookahead)
+      : experiment_(experiment), trials_(trials), cache_(cache) {
+    if (cache == nullptr || !experiment.setups) return;
+    std::unordered_map<std::string, std::uint32_t> ids;
+    key_begin_.reserve(trials.size() + 1);
+    key_begin_.push_back(0);
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      std::vector<std::string> keys;
+      try {
+        keys = experiment.setups.keys(trials[i]);
+      } catch (...) {
+        keys.clear();  // declares nothing; run() meets the same error
+      }
+      for (std::size_t slot = 0; slot < keys.size(); ++slot) {
+        const auto [it, fresh] = ids.try_emplace(
+            std::move(keys[slot]), static_cast<std::uint32_t>(setups_.size()));
+        if (fresh) setups_.push_back({it->first, i, slot});
+        key_ids_.push_back(it->second);
+      }
+      key_begin_.push_back(key_ids_.size());
+    }
+    if (setups_.empty()) {
+      key_begin_.clear();
+      key_ids_.clear();
+      return;
+    }
+    refs_ = std::vector<std::atomic<std::uint32_t>>(setups_.size());
+    for (auto& ref : refs_) ref.store(1, std::memory_order_relaxed);
+    for (const std::uint32_t id : key_ids_)
+      refs_[id].fetch_add(1, std::memory_order_relaxed);
+    // Setups are numbered in order of their first declaring trial, so one
+    // merge pass places each `lookahead` trials ahead of it.
+    items_.reserve(trials.size() + setups_.size());
+    std::size_t next_setup = 0;
+    for (std::size_t i = 0; i < trials.size(); ++i) {
+      for (; next_setup < setups_.size() &&
+             setups_[next_setup].trial <= i + lookahead;
+           ++next_setup)
+        items_.push_back(trials.size() + next_setup);
+      items_.push_back(i);
+    }
+  }
+
+  std::size_t size() const {
+    return items_.empty() ? trials_.size() : items_.size();
+  }
+
+  Item at(std::size_t position) const {
+    if (items_.empty()) return {position, false};
+    const std::size_t value = items_[position];
+    if (value < trials_.size()) return {value, false};
+    return {value - trials_.size(), true};
+  }
+
+  /// Resolves setup item `setup` through the cache (memory, store, build)
+  /// under a bed-pool-free TrialContext, then drops the item's reference.
+  void resolve(std::size_t setup) {
+    const Setup& item = setups_[setup];
+    {
+      TrialContext context(cache_);
+      try {
+        experiment_.setups.resolve(trials_[item.trial], item.slot);
+      } catch (...) {
+        // The cache keeps the failure; each declaring trial's own fetch
+        // rethrows it unchanged, and the error is recorded there.
+      }
+    }
+    unref(setup);
+  }
+
+  /// Drops finished trial `trial`'s references to the keys it declared.
+  void finish(std::size_t trial) {
+    if (setups_.empty()) return;
+    for (std::size_t j = key_begin_[trial]; j < key_begin_[trial + 1]; ++j)
+      unref(key_ids_[j]);
+  }
+
+ private:
+  struct Setup {
+    std::string key;
+    std::size_t trial;  ///< first declaring trial
+    std::size_t slot;   ///< the key's position in that trial's keys()
+  };
+
+  void unref(std::size_t setup) {
+    if (refs_[setup].fetch_sub(1, std::memory_order_acq_rel) == 1)
+      cache_->release(setups_[setup].key);
+  }
+
+  const Experiment& experiment_;
+  std::span<const TrialSpec> trials_;
+  SetupCache* cache_;
+  std::vector<Setup> setups_;
+  /// Declared keys of trial i: key_ids_[key_begin_[i] .. key_begin_[i+1]).
+  std::vector<std::size_t> key_begin_;
+  std::vector<std::uint32_t> key_ids_;
+  std::vector<std::atomic<std::uint32_t>> refs_;
+  /// Work list: values below trials_.size() are trials, the rest setups
+  /// offset by trials_.size(). Empty when the list is just the trials.
+  std::vector<std::size_t> items_;
+};
+
 /// Single-consumer side of the result path: restores trial order with a
 /// reorder buffer, replays trace buffers, batches stream commits, and
 /// optionally retires records into the caller's vector. Runs inline on
@@ -78,8 +197,11 @@ TrialRecord run_one(const Experiment& experiment, const TrialSpec& spec,
 /// never on more than one thread, so it needs no locks.
 class CommitPipeline {
  public:
-  CommitPipeline(const RunnerConfig& config, std::vector<TrialRecord>* records)
-      : config_(config), records_(records) {
+  /// `watermark`, when non-null, is published after every advance so
+  /// workers can stay within kReorderWindow of it.
+  CommitPipeline(const RunnerConfig& config, std::vector<TrialRecord>* records,
+                 std::atomic<std::size_t>* watermark)
+      : config_(config), records_(records), watermark_(watermark) {
     if (config_.stream != nullptr) batch_.resize(kCommitBatch);
   }
 
@@ -98,6 +220,10 @@ class CommitPipeline {
       retire(pending_.begin()->second);
       pending_.erase(pending_.begin());
       ++next_;
+    }
+    if (watermark_ != nullptr) {
+      watermark_->store(next_);
+      watermark_->notify_all();
     }
   }
 
@@ -129,28 +255,30 @@ class CommitPipeline {
 
   const RunnerConfig& config_;
   std::vector<TrialRecord>* records_;
+  std::atomic<std::size_t>* watermark_;
   std::size_t next_ = 0;
   /// Results that finished ahead of their turn, keyed by trial index.
-  /// Bounded by the in-flight window (queue capacity + jobs), not the
-  /// campaign size.
+  /// Fewer than kReorderWindow: no worker starts a trial that far past
+  /// next_.
   std::map<std::size_t, ResultMsg> pending_;
   std::vector<std::string> batch_;
   std::size_t batch_first_ = 0;
   std::size_t batch_used_ = 0;
 };
 
-/// Results queued from workers to the committer. Small on purpose: it
-/// bounds the reorder window (and so peak memory) while staying deep
-/// enough that workers never stall on a committer doing a batched write.
+/// Results queued from workers to the committer. At least the reorder
+/// window, so a push never waits on the committer.
 constexpr std::size_t kQueueCapacity = 256;
+static_assert(kReorderWindow <= kQueueCapacity);
 
 }  // namespace
 
 std::vector<TrialRecord> run_trials(const Experiment& experiment,
-                                    const std::vector<TrialSpec>& trials,
+                                    std::span<const TrialSpec> trials,
                                     const RunnerConfig& config,
                                     SetupStats* stats) {
   std::vector<TrialRecord> records(config.keep_records ? trials.size() : 0);
+  std::vector<TrialRecord>* kept = config.keep_records ? &records : nullptr;
 
   unsigned jobs = config.jobs ? config.jobs : std::thread::hardware_concurrency();
   if (jobs == 0) jobs = 1;
@@ -166,57 +294,79 @@ std::vector<TrialRecord> run_trials(const Experiment& experiment,
   // Setup reuse is off while tracing: setup-phase events would fire once
   // per shared state instead of once per trial, breaking trace diffs.
   const bool reuse =
-      config.reuse_setup && experiment.setup_key && config.trace_sink == nullptr;
+      config.reuse_setup && experiment.setups && config.trace_sink == nullptr;
   SetupCache setup_cache;
   if (reuse) setup_cache.attach_store(config.setup_store);
   SetupCache* cache_ptr = reuse ? &setup_cache : nullptr;
+  // One plan for both paths. The lookahead is the worker count: by the
+  // time a trial starts, the setup items placed `jobs` positions earlier
+  // have been claimed by the other workers.
+  WorkPlan plan(experiment, trials, cache_ptr, jobs);
   // Bed recycling is also off while tracing — a recycled bed skips the
   // construction-phase events a fresh one would emit.
   const bool recycle = config.recycle_systems && config.trace_sink == nullptr;
 
-  std::atomic<std::uint64_t> bed_recycles{0};
-  std::atomic<std::uint64_t> bed_discards{0};
-  std::atomic<std::size_t> next{0};
-  // First-exception capture: whoever claims the flag stores their
-  // exception; everyone else just stops. Rethrown after the joins.
-  std::atomic<bool> stop{false};
-  std::atomic<bool> error_claimed{false};
-  std::exception_ptr first_error;
-  auto claim_error = [&] {
-    if (!error_claimed.exchange(true)) first_error = std::current_exception();
-    stop.store(true, std::memory_order_relaxed);
+  // Runs trial `i` into `msg` (record, index, encoded line) and drops its
+  // references to the setups it declared.
+  const auto run_trial = [&](std::size_t i, obs::TraceSink* sink,
+                             BedPool& bed_pool, ResultMsg& msg) {
+    msg.record = run_one(experiment, trials[i], sink, cache_ptr,
+                         recycle ? &bed_pool : nullptr);
+    plan.finish(i);
+    msg.index = i;
+    if (encode) {
+      msg.line.clear();
+      append_json_line(msg.line, msg.record);
+      msg.line.push_back('\n');
+    }
   };
 
-  CommitPipeline pipeline(config, config.keep_records ? &records : nullptr);
+  std::atomic<std::uint64_t> bed_recycles{0};
+  std::atomic<std::uint64_t> bed_discards{0};
 
   if (jobs <= 1) {
     // Fully inline: no queue, no threads; trace events go straight to the
     // sink and exceptions from on_trial / stream->commit propagate
     // naturally to the caller.
+    CommitPipeline pipeline(config, kept, nullptr);
     BedPool bed_pool;
     ResultMsg msg;
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      msg.record = run_one(experiment, trials[i], config.trace_sink, cache_ptr,
-                           recycle ? &bed_pool : nullptr);
-      msg.index = i;
-      if (encode) {
-        msg.line.clear();
-        append_json_line(msg.line, msg.record);
-        msg.line.push_back('\n');
+    for (std::size_t p = 0; p < plan.size(); ++p) {
+      const WorkPlan::Item item = plan.at(p);
+      if (item.setup) {
+        plan.resolve(item.index);
+        continue;
       }
+      run_trial(item.index, config.trace_sink, bed_pool, msg);
       pipeline.feed(msg);
     }
     pipeline.finish();
     bed_recycles.store(bed_pool.recycles(), std::memory_order_relaxed);
     bed_discards.store(bed_pool.discards(), std::memory_order_relaxed);
   } else {
-    // A committer thread is only needed when someone consumes results in
-    // a serialized order (stream, on_trial, trace replay); a plain
-    // in-memory sweep writes its slot directly and skips the queue.
-    const bool use_committer =
-        encode || static_cast<bool>(config.on_trial) || buffer_traces;
+    // Workers claim work-list positions in order; the committer owns the
+    // pipeline. Both park on atomics instead of spinning: the committer on
+    // `signal` (bumped per push and once when the workers are done), a
+    // worker on `watermark` when its trial is kReorderWindow ahead of it.
     MpscQueue<ResultMsg> queue(kQueueCapacity);
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> watermark{0};
+    std::atomic<std::uint32_t> signal{0};
     std::atomic<bool> producers_done{false};
+    CommitPipeline pipeline(config, kept, &watermark);
+
+    // First-exception capture: whoever claims the flag stores their
+    // exception; everyone stops, and parked workers are woken to see it.
+    // Rethrown after the joins.
+    std::atomic<bool> stop{false};
+    std::atomic<bool> error_claimed{false};
+    std::exception_ptr first_error;
+    auto claim_error = [&] {
+      if (!error_claimed.exchange(true)) first_error = std::current_exception();
+      stop.store(true);
+      watermark.fetch_add(1);
+      watermark.notify_all();
+    };
 
     auto worker = [&] {
       BedPool bed_pool;
@@ -224,8 +374,19 @@ std::vector<TrialRecord> run_trials(const Experiment& experiment,
         ResultMsg msg;
         for (;;) {
           if (stop.load(std::memory_order_relaxed)) break;
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= trials.size()) break;
+          const std::size_t p = next.fetch_add(1, std::memory_order_relaxed);
+          if (p >= plan.size()) break;
+          const WorkPlan::Item item = plan.at(p);
+          if (item.setup) {
+            plan.resolve(item.index);
+            continue;
+          }
+          const std::size_t i = item.index;
+          for (std::size_t mark = watermark.load();
+               i >= mark + kReorderWindow && !stop.load();
+               mark = watermark.load())
+            watermark.wait(mark);
+          if (stop.load()) break;
           obs::TraceSink* sink = config.trace_sink;
           if (buffer_traces) {
             // Recycle the buffer the queue handed back; allocate only
@@ -236,18 +397,10 @@ std::vector<TrialRecord> run_trials(const Experiment& experiment,
               msg.trace = std::make_unique<BufferSink>();
             sink = msg.trace.get();
           }
-          msg.record = run_one(experiment, trials[i], sink, cache_ptr,
-                               recycle ? &bed_pool : nullptr);
-          msg.index = i;
-          if (encode) {
-            msg.line.clear();
-            append_json_line(msg.line, msg.record);
-            msg.line.push_back('\n');
-          }
-          if (use_committer)
-            queue.push(msg);
-          else if (config.keep_records)
-            records[i] = std::move(msg.record);
+          run_trial(i, sink, bed_pool, msg);
+          queue.push(msg);
+          signal.fetch_add(1);
+          signal.notify_one();
         }
       } catch (...) {
         claim_error();
@@ -258,50 +411,44 @@ std::vector<TrialRecord> run_trials(const Experiment& experiment,
 
     auto committer = [&] {
       ResultMsg msg;
-      try {
-        for (;;) {
-          if (queue.try_pop(msg)) {
-            pipeline.feed(msg);
-            continue;
-          }
-          // Queue ran dry: push the partial batch out rather than sit on
-          // durable-ready lines, then check for shutdown.
-          pipeline.flush_batch();
-          if (producers_done.load(std::memory_order_acquire)) {
-            if (!queue.try_pop(msg)) break;
-            pipeline.feed(msg);
-            continue;
-          }
-          std::this_thread::yield();
+      bool failed = false;
+      const auto guarded = [&](auto&& step) {
+        if (failed) return;
+        try {
+          step();
+        } catch (...) {
+          failed = true;
+          claim_error();
         }
-        pipeline.finish();
-      } catch (...) {
-        claim_error();
-        // Keep draining (and discarding) so producers blocked on a full
-        // queue can observe `stop` and exit; only then may we leave.
-        for (;;) {
-          if (queue.try_pop(msg)) continue;
-          if (producers_done.load(std::memory_order_acquire)) {
-            if (!queue.try_pop(msg)) break;
-          } else {
-            std::this_thread::yield();
-          }
-        }
+      };
+      for (;;) {
+        // Read before draining: a push or the done signal landing after
+        // this read changes `signal`, so the wait below returns at once.
+        const std::uint32_t seen = signal.load();
+        const bool done = producers_done.load();
+        // After a failure keep draining (and discarding) so no producer
+        // is left holding a message; only then may we leave.
+        while (queue.try_pop(msg)) guarded([&] { pipeline.feed(msg); });
+        // Queue ran dry: push the partial batch out rather than sit on
+        // durable-ready lines.
+        guarded([&] { pipeline.flush_batch(); });
+        if (done) break;
+        signal.wait(seen);
       }
+      guarded([&] { pipeline.finish(); });
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(jobs + 1);
-    if (use_committer) pool.emplace_back(committer);
+    std::thread commit_thread(committer);
     std::vector<std::thread> workers;
     workers.reserve(jobs);
     for (unsigned t = 0; t < jobs; ++t) workers.emplace_back(worker);
     for (auto& thread : workers) thread.join();
-    producers_done.store(true, std::memory_order_release);
-    for (auto& thread : pool) thread.join();
+    producers_done.store(true);
+    signal.fetch_add(1);
+    signal.notify_one();
+    commit_thread.join();
+    if (first_error) std::rethrow_exception(first_error);
   }
-
-  if (first_error) std::rethrow_exception(first_error);
 
   if (stats != nullptr)
     *stats = SetupStats{

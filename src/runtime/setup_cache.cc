@@ -80,6 +80,19 @@ std::shared_ptr<const void> SetupCache::get_or_build(const std::string& key,
   return future.get();  // rethrows a builder failure to every sharing trial
 }
 
+void SetupCache::release(const std::string& key) {
+  std::shared_future<std::shared_ptr<const void>> dropped;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) return;
+    dropped = std::move(it->second);
+    entries_.erase(it);
+  }
+  // `dropped` goes out of scope here, off the lock: destroying the last
+  // reference to a warm state frees megabytes of snapshot.
+}
+
 std::size_t SetupCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();

@@ -3,10 +3,13 @@
 // Sweeps repeat an expensive setup phase (Algorithm 1 eviction-set build,
 // monitor discovery) for every trial even when only measure-phase
 // parameters differ. The runner installs one SetupCache per sweep; trials
-// whose Experiment::setup_key agree share a single warm state, built once
-// and forked per trial. States are type-erased shared_ptrs — each
-// experiment family defines its own warm-state struct (a TestBedSnapshot
-// plus whatever setup artifacts it needs).
+// that declare the same key (Experiment::setups) share a single warm
+// state, built once and forked per trial. The runner resolves each key in
+// a setup work item ahead of its trials and release()s it after the last
+// of them, so the cache holds the states of a window of trials, not of the
+// whole sweep. States are type-erased shared_ptrs — each experiment family
+// defines its own warm-state struct (a TestBedSnapshot plus whatever setup
+// artifacts it needs).
 //
 // With a SetupStore attached (setup_store.h) the cache becomes two-tier:
 // a key missing in memory is looked up on disk first (decoded through the
@@ -31,8 +34,9 @@ class BedPool;
 class SetupStore;
 
 /// Thread-safe store of type-erased warm setup states keyed by setup key.
-/// When trials race on one key, the first runs the builder and the rest
-/// block on a shared future — a setup is never built twice per process.
+/// When callers race on one key, the first runs the builder and the rest
+/// block on a shared future — a key is never resolved twice while its
+/// entry is held (until release()).
 class SetupCache {
  public:
   using Builder = std::function<std::shared_ptr<const void>()>;
@@ -46,8 +50,8 @@ class SetupCache {
   /// get_or_build calls that supply a codec use it.
   void attach_store(SetupStore* store);
 
-  /// Returns the state for `key`, producing it (at most once per key, per
-  /// process) by — in order — loading it from the attached store when
+  /// Returns the state for `key`, producing it (at most once per held
+  /// entry) by — in order — loading it from the attached store when
   /// `decoder` is given, else running `builder`. A built state is written
   /// back through `encoder` when both it and a store are present. The
   /// builder runs under a detached obs::TrialScope so the setup machine's
@@ -60,8 +64,16 @@ class SetupCache {
                                            const Encoder& encoder = nullptr,
                                            const Decoder& decoder = nullptr);
 
+  /// Drops the entry for `key` (no-op when absent). Holders of the state
+  /// keep it alive; a later get_or_build for the key resolves it afresh.
+  void release(const std::string& key);
+
+  /// Entries currently held (resolved, in flight, or failed).
   std::size_t size() const;
-  /// Found in this process's memory tier.
+  /// get_or_build calls that found the key already in memory, resolved or
+  /// in flight. Under the runner a declared key is resolved by exactly one
+  /// of its fetches (normally its setup item's) and every other one counts
+  /// here, so this equals the trials' own fetches of declared keys.
   std::uint64_t memory_hits() const;
   /// Loaded and decoded from the attached SetupStore.
   std::uint64_t disk_hits() const;

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "channel/testbed.h"
 #include "common/bytes.h"
@@ -308,13 +311,8 @@ TEST(Runner, SetupStatsDistinguishMemoryDiskAndBuild) {
   std::filesystem::remove_all(dir);
 
   std::atomic<int> built{0};
-  Experiment e;
-  e.name = "runtime_test_stats";
-  e.setup_key = [](const TrialSpec& spec) {
-    return "stats|seed=" + std::to_string(spec.seed);
-  };
-  e.run = [&built](const TrialSpec& spec) {
-    const auto warm = memoized_setup<std::uint64_t>(
+  const auto fetch = [&built](const TrialSpec& spec) {
+    return memoized_setup<std::uint64_t>(
         "stats|seed=" + std::to_string(spec.seed),
         [&]() -> std::shared_ptr<const std::uint64_t> {
           ++built;
@@ -332,8 +330,19 @@ TEST(Runner, SetupStatsDistinguishMemoryDiskAndBuild) {
           r.expect_done();
           return value;
         });
+  };
+  Experiment e;
+  e.name = "runtime_test_stats";
+  e.setups = {.keys =
+                  [](const TrialSpec& spec) {
+                    return std::vector<std::string>{
+                        "stats|seed=" + std::to_string(spec.seed)};
+                  },
+              .resolve = [fetch](const TrialSpec& spec,
+                                 std::size_t) { fetch(spec); }};
+  e.run = [fetch](const TrialSpec& spec) {
     TrialResult out;
-    out.metric("warm_mod", static_cast<double>(*warm % 100003));
+    out.metric("warm_mod", static_cast<double>(*fetch(spec) % 100003));
     return out;
   };
   std::vector<TrialSpec> trials(6);
@@ -342,13 +351,14 @@ TEST(Runner, SetupStatsDistinguishMemoryDiskAndBuild) {
     trials[i].seed = 7 + i % 2;  // two distinct warm states
   }
 
-  // No store attached: two builds, the other four trials hit memory.
+  // No store attached: two builds, by the setup items, so all six trial
+  // fetches hit memory.
   RunnerConfig memory_only;
   memory_only.jobs = 2;
   SetupStats stats;
   const auto in_memory = run_trials(e, trials, memory_only, &stats);
   EXPECT_EQ(stats.builds, 2u);
-  EXPECT_EQ(stats.memory_hits, 4u);
+  EXPECT_EQ(stats.memory_hits, 6u);
   EXPECT_EQ(stats.disk_hits, 0u);
   EXPECT_EQ(built.load(), 2);
 
@@ -360,7 +370,7 @@ TEST(Runner, SetupStatsDistinguishMemoryDiskAndBuild) {
   built = 0;
   const auto cold = run_trials(e, trials, with_store, &stats);
   EXPECT_EQ(stats.builds, 2u);
-  EXPECT_EQ(stats.memory_hits, 4u);
+  EXPECT_EQ(stats.memory_hits, 6u);
   EXPECT_EQ(stats.disk_hits, 0u);
 
   // ...so the next sweep (a fresh process in campaign terms) builds
@@ -369,7 +379,7 @@ TEST(Runner, SetupStatsDistinguishMemoryDiskAndBuild) {
   const auto warm = run_trials(e, trials, with_store, &stats);
   EXPECT_EQ(stats.builds, 0u);
   EXPECT_EQ(stats.disk_hits, 2u);
-  EXPECT_EQ(stats.memory_hits, 4u);
+  EXPECT_EQ(stats.memory_hits, 6u);
   EXPECT_EQ(built.load(), 0);
 
   // Resolution mode is an optimization, never an observable: all three
@@ -510,6 +520,186 @@ TEST(Runner, StreamExceptionIsRethrownAfterJoin) {
     config.keep_records = false;
     EXPECT_THROW(run_trials(e, trials, config), std::runtime_error)
         << "jobs=" << jobs;
+  }
+}
+
+// A slow trial holds the commit watermark: no worker may start a trial
+// kReorderWindow or more past it, so the reorder buffer (and everything it
+// holds) stays bounded however far the other workers could run ahead.
+TEST(Runner, WorkersStayWithinTheReorderWindow) {
+  std::atomic<bool> first_running{true};
+  std::atomic<std::size_t> furthest{0};
+  Experiment e = synthetic("runtime_test_window");
+  e.run = [&](const TrialSpec& spec) {
+    if (spec.trial_index == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      first_running = false;
+    } else if (first_running) {
+      std::size_t seen = furthest.load();
+      while (spec.trial_index > seen &&
+             !furthest.compare_exchange_weak(seen, spec.trial_index)) {
+      }
+    }
+    return TrialResult{};
+  };
+  std::vector<TrialSpec> trials(4 * kReorderWindow);
+  for (std::size_t i = 0; i < trials.size(); ++i) trials[i].trial_index = i;
+  RunnerConfig config;
+  config.jobs = 4;
+  config.keep_records = false;
+  std::size_t seen = 0;
+  config.on_trial = [&](const TrialRecord&) { ++seen; };
+  run_trials(e, trials, config);
+  EXPECT_EQ(seen, trials.size());
+  EXPECT_GT(furthest.load(), 0u);
+  EXPECT_LT(furthest.load(), kReorderWindow);
+}
+
+// ---------------------------------------------------------------------------
+// Setup plan: declared setups run as their own work items ahead of the
+// trials that declare them and are released after the last of those.
+
+/// Warm state that tracks how many instances are alive, and the most ever.
+struct CountedState {
+  static inline std::atomic<int> live{0};
+  static inline std::atomic<int> peak{0};
+
+  explicit CountedState(std::uint64_t v) : value(v) {
+    const int now = live.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~CountedState() { live.fetch_sub(1); }
+  CountedState(const CountedState&) = delete;
+  CountedState& operator=(const CountedState&) = delete;
+
+  std::uint64_t value;
+};
+
+std::string chain_key(std::uint64_t seed) {
+  return "chain|seed=" + std::to_string(seed);
+}
+
+/// Trial s declares (and fetches) the warm states of seeds s and s+1, the
+/// shape of a mitigations trial with setup_attempts=2: neighbours share one.
+/// With `failing`, every seed = 3 (mod 7) fails to build.
+Experiment chain_experiment(std::atomic<int>& builds, bool failing) {
+  const auto fetch = [&builds, failing](std::uint64_t seed) {
+    return memoized_setup<CountedState>(
+        chain_key(seed), [&builds, failing, seed]() {
+          builds.fetch_add(1);
+          if (failing && seed % 7 == 3)
+            throw std::runtime_error("setup " + std::to_string(seed) +
+                                     " exploded");
+          Rng rng(seed);
+          return std::make_shared<const CountedState>(rng.next_u64());
+        });
+  };
+  Experiment e;
+  e.name = "runtime_test_chain";
+  e.setups = {.keys =
+                  [](const TrialSpec& spec) {
+                    return std::vector<std::string>{chain_key(spec.seed),
+                                                    chain_key(spec.seed + 1)};
+                  },
+              .resolve = [fetch](const TrialSpec& spec, std::size_t slot) {
+                fetch(spec.seed + slot);
+              }};
+  e.run = [fetch](const TrialSpec& spec) {
+    const auto a = fetch(spec.seed);
+    const auto b = fetch(spec.seed + 1);
+    TrialResult out;
+    out.metric("mix", static_cast<double>((a->value ^ b->value) % 100003));
+    return out;
+  };
+  return e;
+}
+
+std::vector<TrialSpec> chain_trials(std::size_t count) {
+  std::vector<TrialSpec> trials(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    trials[i].experiment = "runtime_test_chain";
+    trials[i].trial_index = i;
+    trials[i].seed = 1000 + i;
+  }
+  return trials;
+}
+
+// Each distinct key is built once — nothing is rebuilt after its release —
+// the warm states alive at once are bounded by the reorder window, not by
+// the sweep, and the JSONL is the same bytes at any job count with reuse on
+// or off.
+TEST(SetupPlan, BuildsEachKeyOnceAndBoundsLiveStates) {
+  const std::vector<TrialSpec> trials = chain_trials(2 * kReorderWindow + 100);
+  const std::size_t distinct = trials.size() + 1;
+  std::string reference;
+  for (const bool reuse : {true, false}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                   " reuse=" + std::to_string(reuse));
+      std::atomic<int> builds{0};
+      const Experiment e = chain_experiment(builds, false);
+      CountedState::peak = 0;
+      CollectStream stream;
+      RunnerConfig config;
+      config.jobs = jobs;
+      config.reuse_setup = reuse;
+      config.keep_records = false;
+      config.stream = &stream;
+      SetupStats stats;
+      run_trials(e, trials, config, &stats);
+      EXPECT_EQ(CountedState::live.load(), 0);
+      if (reuse) {
+        EXPECT_EQ(static_cast<std::size_t>(builds.load()), distinct);
+        EXPECT_EQ(stats.builds, distinct);
+        EXPECT_EQ(stats.memory_hits, 2 * trials.size());
+        // The window, the setup lookahead, and one item per worker.
+        EXPECT_LE(static_cast<std::size_t>(CountedState::peak.load()),
+                  kReorderWindow + 4 * jobs + 4);
+      } else {
+        EXPECT_EQ(static_cast<std::size_t>(builds.load()), 2 * trials.size());
+        EXPECT_EQ(stats.builds, 0u);
+        EXPECT_LE(CountedState::peak.load(), static_cast<int>(2 * jobs));
+      }
+      if (reference.empty()) reference = stream.text();
+      EXPECT_EQ(stream.text(), reference);
+    }
+  }
+  EXPECT_LT(kReorderWindow + 4 * 4 + 4, distinct);
+}
+
+// A setup whose build throws fails at its item without stopping anything,
+// is not retried, and its error text reaches every trial that declared it.
+TEST(SetupPlan, FailedBuildReachesEveryDeclaringTrial) {
+  const std::vector<TrialSpec> trials = chain_trials(40);
+  for (const bool reuse : {true, false}) {
+    for (const unsigned jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs) +
+                   " reuse=" + std::to_string(reuse));
+      std::atomic<int> builds{0};
+      const Experiment e = chain_experiment(builds, true);
+      RunnerConfig config;
+      config.jobs = jobs;
+      config.reuse_setup = reuse;
+      const auto records = run_trials(e, trials, config);
+      ASSERT_EQ(records.size(), trials.size());
+      std::size_t failed = 0;
+      for (const TrialRecord& record : records) {
+        std::string expected;
+        const std::uint64_t seed0 = record.spec.seed;
+        for (const std::uint64_t seed : {seed0, seed0 + 1})
+          if (expected.empty() && seed % 7 == 3)
+            expected = "setup " + std::to_string(seed) + " exploded";
+        EXPECT_EQ(record.ok, expected.empty()) << record.spec.seed;
+        EXPECT_EQ(record.error, expected) << record.spec.seed;
+        if (!record.ok) ++failed;
+      }
+      EXPECT_GT(failed, 0u);
+      if (reuse) {
+        EXPECT_EQ(static_cast<std::size_t>(builds.load()), trials.size() + 1);
+      }
+    }
   }
 }
 

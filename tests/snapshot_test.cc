@@ -362,19 +362,28 @@ TEST(SetupCache, MemoizedSetupWithoutContextBuildsFresh) {
 }
 
 runtime::Experiment toy_setup_experiment(std::atomic<int>& builds) {
-  runtime::Experiment exp;
-  exp.name = "toy_setup";
-  exp.setup_key = [](const runtime::TrialSpec& spec) {
+  const auto key = [](const runtime::TrialSpec& spec) {
     return "toy_setup|seed=" + std::to_string(spec.seed);
   };
-  exp.run = [&builds](const runtime::TrialSpec& spec) {
-    const auto warm = runtime::memoized_setup<std::uint64_t>(
-        "toy_setup|seed=" + std::to_string(spec.seed),
-        [&]() -> std::shared_ptr<const std::uint64_t> {
+  const auto fetch = [&builds, key](const runtime::TrialSpec& spec) {
+    return runtime::memoized_setup<std::uint64_t>(
+        key(spec), [&]() -> std::shared_ptr<const std::uint64_t> {
           builds.fetch_add(1);
           Rng rng(spec.seed);
           return std::make_shared<const std::uint64_t>(rng.next_u64());
         });
+  };
+  runtime::Experiment exp;
+  exp.name = "toy_setup";
+  exp.setups = {
+      .keys =
+          [key](const runtime::TrialSpec& spec) {
+            return std::vector<std::string>{key(spec)};
+          },
+      .resolve = [fetch](const runtime::TrialSpec& spec,
+                         std::size_t) { fetch(spec); }};
+  exp.run = [fetch](const runtime::TrialSpec& spec) {
+    const auto warm = fetch(spec);
     runtime::TrialResult result;
     result.metric("warm_mod", static_cast<double>(*warm % 100003));
     result.metric("trial", static_cast<double>(spec.trial_index));
@@ -403,7 +412,7 @@ TEST(Runner, SetupReuseSharesStateAndKeepsRecordsIdentical) {
       runtime::run_trials(exp, trials, reuse_config, &reuse_stats);
   EXPECT_EQ(builds.load(), 2);  // one build per distinct seed
   EXPECT_EQ(reuse_stats.builds, 2u);
-  EXPECT_EQ(reuse_stats.memory_hits, 4u);
+  EXPECT_EQ(reuse_stats.memory_hits, 6u);  // every trial fetch
   EXPECT_EQ(reuse_stats.disk_hits, 0u);
 
   builds = 0;

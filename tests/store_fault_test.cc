@@ -214,14 +214,12 @@ TEST(StoreFault, RunnerSurvivesPoisonedStoreThenHealsIt) {
   SetupStore store(dir.str(), config_hash);
 
   std::atomic<int> builds{0};
-  runtime::Experiment exp;
-  exp.name = "toy_store";
-  exp.setup_key = [](const runtime::TrialSpec& spec) {
+  const auto key = [](const runtime::TrialSpec& spec) {
     return "toy_store|seed=" + std::to_string(spec.seed);
   };
-  exp.run = [&builds](const runtime::TrialSpec& spec) {
-    const auto warm = runtime::memoized_setup<std::uint64_t>(
-        "toy_store|seed=" + std::to_string(spec.seed),
+  const auto fetch = [&builds, key](const runtime::TrialSpec& spec) {
+    return runtime::memoized_setup<std::uint64_t>(
+        key(spec),
         [&]() -> std::shared_ptr<const std::uint64_t> {
           builds.fetch_add(1);
           Rng rng(spec.seed);
@@ -239,8 +237,19 @@ TEST(StoreFault, RunnerSurvivesPoisonedStoreThenHealsIt) {
           r.expect_done();
           return value;
         });
+  };
+  runtime::Experiment exp;
+  exp.name = "toy_store";
+  exp.setups = {
+      .keys =
+          [key](const runtime::TrialSpec& spec) {
+            return std::vector<std::string>{key(spec)};
+          },
+      .resolve = [fetch](const runtime::TrialSpec& spec,
+                         std::size_t) { fetch(spec); }};
+  exp.run = [fetch](const runtime::TrialSpec& spec) {
     runtime::TrialResult result;
-    result.metric("warm_mod", static_cast<double>(*warm % 100003));
+    result.metric("warm_mod", static_cast<double>(*fetch(spec) % 100003));
     return result;
   };
 
@@ -273,7 +282,7 @@ TEST(StoreFault, RunnerSurvivesPoisonedStoreThenHealsIt) {
   EXPECT_EQ(builds.load(), 0);
   EXPECT_EQ(healed_stats.builds, 0u);
   EXPECT_EQ(healed_stats.disk_hits, 2u);
-  EXPECT_EQ(healed_stats.memory_hits, 2u);
+  EXPECT_EQ(healed_stats.memory_hits, 4u);  // every trial fetch
 
   ASSERT_EQ(poisoned.size(), healed.size());
   for (std::size_t i = 0; i < poisoned.size(); ++i)
