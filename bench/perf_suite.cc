@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "channel/testbed.h"
 #include "common/proc_rss.h"
 #include "common/rng.h"
+#include "crypto/aes128.h"
 #include "crypto/aes_backend.h"
 #include "crypto/line_cipher.h"
 #include "crypto/multilinear_mac.h"
@@ -108,7 +110,7 @@ struct QuickstartResult {
 };
 
 /// End-to-end: the quickstart covert-channel scenario (eviction-set build +
-/// transmission), using the default "auto" backend and pad cache — the
+/// transmission), using the default AES selection and pad cache — the
 /// configuration experiments actually run under.
 QuickstartResult run_quickstart() {
   channel::TestBed bed(channel::default_testbed_config(1));
@@ -472,7 +474,7 @@ std::vector<std::pair<std::string, double>> parse_baseline_kernels(
 
 /// Per-kernel delta report against a baseline file. Returns false when any
 /// kernel regressed by more than 15%; getting faster (or kernels appearing
-/// or disappearing — backend availability differs across hosts) never
+/// or disappearing — AES-NI availability differs across hosts) never
 /// fails.
 bool compare_with_baseline(
     const std::vector<std::pair<std::string, double>>& kernels,
@@ -644,7 +646,7 @@ void write_json(std::ostream& os,
     os << "\n    ]\n  }";
   }
   if (checked)
-    os << ",\n  \"check\": {\n    \"ttable_speedup_min\": 2.0,\n"
+    os << ",\n  \"check\": {\n    \"aesni_speedup_min\": 2.0,\n"
        << "    \"passed\": " << (check_passed ? "true" : "false") << "\n  }";
   os << "\n}\n";
 }
@@ -673,30 +675,36 @@ int run_perf_suite(const PerfOptions& options) {
   // pass over the list, so spacing a kernel's chances a pass apart lets
   // min-merge recover the true floor.
   constexpr int kKernelPasses = 3;
+  // The factory's pick: AES-NI on CPUs that have it, else the byte-wise
+  // reference, which already has its own kernel below.
+  std::unique_ptr<const crypto::AesBackend> aesni =
+      crypto::make_aes_backend(bench_key());
+  if (aesni->name() != "aesni") aesni.reset();
   const auto collect_kernels = [&] {
-  // --- AES block, one entry per backend this CPU can run ------------------
-  for (const std::string& name : crypto::aes_backend_names()) {
-    if (name == crypto::kAutoBackend || !crypto::aes_backend_available(name))
-      continue;
-    const auto aes = crypto::make_aes_backend(name, bench_key());
-    record("aes_block." + name, ns_per_op([&](std::uint64_t iters) {
+  // --- AES block: the byte-wise oracle and, when present, AES-NI ---------
+  {
+    const crypto::Aes128 reference(bench_key());
+    record("aes_block.reference", ns_per_op([&](std::uint64_t iters) {
              crypto::Block block{};
              for (std::uint64_t i = 0; i < iters; ++i)
-               block = aes->encrypt(block);
+               block = reference.encrypt(block);
              keep(block);
            }));
   }
-
-  // --- multi-block AES: pipelined encrypt_blocks, ns per block ------------
-  // x8 is the depth the batched MEE walk and the keystream path feed the
-  // backend; on AES-NI the rounds pipeline across the independent blocks,
-  // so ns/block should land well under the single-block figure.
-  if (crypto::aes_backend_available("aesni")) {
-    const auto aes = crypto::make_aes_backend("aesni", bench_key());
+  if (aesni != nullptr) {
+    record("aes_block.aesni", ns_per_op([&](std::uint64_t iters) {
+             crypto::Block block{};
+             for (std::uint64_t i = 0; i < iters; ++i)
+               block = aesni->encrypt(block);
+             keep(block);
+           }));
+    // Pipelined encrypt_blocks, ns per block: the rounds overlap across
+    // independent blocks, so this lands well under the single-block figure.
+    // The line cipher's four-block keystream runs the same kernel.
     record("aes_block.aesni_x8", ns_per_op([&](std::uint64_t iters) {
              crypto::Block blocks[8]{};
              for (std::uint64_t i = 0; i < iters; i += 8)
-               aes->encrypt_blocks(blocks, blocks, 8);
+               aesni->encrypt_blocks(blocks, blocks, 8);
              keep(blocks[7]);
            }));
   }
@@ -763,57 +771,20 @@ int run_perf_suite(const PerfOptions& options) {
            }));
   }
 
-  // --- batched MAC verify: the walk's per-level checks, isolated ----------
-  // One iteration = the four per-level MAC checks of a cold walk, with the
-  // pad cache off so every check derives its pad. Serial pays one AES-block
-  // latency per level; batched derives all four pads through one
-  // encrypt_blocks() call. This pair isolates the batched-encrypt fraction
-  // that the full mee_walk kernels dilute with walk bookkeeping, so the
-  // gate catches the pipeline regressing even when mee_walk noise hides it.
-  {
-    crypto::MultilinearMac batch_mac(bench_key());
-    batch_mac.set_pad_cache_enabled(false);
-    constexpr std::size_t kLevels = 4;
-    crypto::LineData lines[kLevels];
-    crypto::MacRequest requests[kLevels];
-    for (std::size_t i = 0; i < kLevels; ++i) {
-      lines[i].fill(static_cast<std::uint8_t>(i + 1));
-      const std::uint64_t addr = 0x1000 + 0x40 * i;
-      requests[i] = {addr, i + 1, lines[i],
-                     batch_mac.tag(addr, i + 1, lines[i])};
-    }
-    record("mac_verify.serial", ns_per_op([&](std::uint64_t iters) {
-             std::uint64_t acc = 0;
-             for (std::uint64_t i = 0; i < iters; ++i)
-               for (const crypto::MacRequest& r : requests)
-                 acc += batch_mac.verify(r.address, r.version, r.data,
-                                         r.expected_tag);
-             keep(acc);
-           }));
-    record("mac_verify.batched", ns_per_op([&](std::uint64_t iters) {
-             std::uint64_t acc = 0;
-             for (std::uint64_t i = 0; i < iters; ++i)
-               acc += batch_mac.verify_batch(requests, kLevels);
-             keep(acc);
-           }));
-  }
-
   // --- MEE tree walk: cold (full walk to root) vs versions hit ------------
-  // The cold/batched pair is a direct A/B of the multi-block MAC pipeline.
-  // Two kernel conditions make the A/B honest (see DESIGN.md §6): the chunk
-  // is written once so every tree level carries a real MAC (a never-written
-  // chunk is all genesis nodes — zero MAC requests, nothing to batch), and
-  // the pad cache is off so each iteration's verify actually derives pads
-  // (the pad cache survives flush_all(), so with it on every walk after the
-  // first is all pad hits and both paths measure only walk bookkeeping).
+  // Two kernel conditions keep the cold walk honest: the chunk is written
+  // once so every tree level carries a real MAC (a never-written chunk is
+  // all genesis nodes, which skip the MAC), and the pad cache is off so
+  // each iteration's verify actually derives pads (the pad cache survives
+  // flush_all(), so with it on every walk after the first is all pad hits
+  // and the kernel measures only walk bookkeeping).
   {
     const mem::AddressMap map(
         mem::AddressMapConfig{.general_size = 1 << 20, .epc_size = 4 << 20});
     mem::PhysicalMemory memory;
-    mee::MeeConfig serial_config;
-    serial_config.batched_walks = false;
-    serial_config.pad_cache = false;
-    mee::MeeEngine engine(map, memory, serial_config, Rng(1));
+    mee::MeeConfig config;
+    config.pad_cache = false;
+    mee::MeeEngine engine(map, memory, config, Rng(1));
     const PhysAddr addr = map.protected_data().base;
     engine.write_line(CoreId{0}, addr, mem::Line{});  // materialize the MACs
     record("mee_walk.cold", ns_per_op(
@@ -829,21 +800,6 @@ int run_perf_suite(const PerfOptions& options) {
              for (std::uint64_t i = 0; i < iters; ++i)
                keep(engine.read_line(CoreId{0}, addr));
            }));
-
-    mem::PhysicalMemory batched_memory;
-    mee::MeeConfig batched_config;
-    batched_config.pad_cache = false;
-    mee::MeeEngine batched(map, batched_memory, batched_config, Rng(1));
-    batched.write_line(CoreId{0}, addr, mem::Line{});
-    record("mee_walk.batched",
-           ns_per_op(
-               [&](std::uint64_t iters) {
-                 for (std::uint64_t i = 0; i < iters; ++i) {
-                   batched.mutable_cache().flush_all();
-                   keep(batched.read_line(CoreId{0}, addr));
-                 }
-               },
-               /*min_seconds=*/0.05, /*start_iters=*/16));
   }
 
   // --- scheduler: per-event dispatch and spawn/complete churn -------------
@@ -882,18 +838,17 @@ int run_perf_suite(const PerfOptions& options) {
     collect_kernels();
   }
 
-  // Speedup ratios and the --check threshold read the merged minima, so
+  // The speedup ratio and the --check threshold read the merged minima, so
   // both operands come from the same (cleanest-window) estimator.
-  double reference_ns = 0.0, ttable_ns = 0.0;
+  double reference_ns = 0.0, aesni_ns = 0.0;
   for (const auto& [name, ns] : kernels) {
     if (name == "aes_block.reference") reference_ns = ns;
-    if (name == "aes_block.ttable") ttable_ns = ns;
+    if (name == "aes_block.aesni") aesni_ns = ns;
   }
   std::vector<std::pair<std::string, double>> speedups;
-  for (const auto& [name, ns] : kernels)
-    if (name.rfind("aes_block.", 0) == 0 && name != "aes_block.reference" &&
-        name != "aes_block.aesni_x8" && reference_ns > 0.0 && ns > 0.0)
-      speedups.emplace_back(name + "_vs_reference", reference_ns / ns);
+  if (reference_ns > 0.0 && aesni_ns > 0.0)
+    speedups.emplace_back("aes_block.aesni_vs_reference",
+                          reference_ns / aesni_ns);
 
   // --- end to end ---------------------------------------------------------
   std::fprintf(stderr, "  quickstart end-to-end...\n");
@@ -978,11 +933,17 @@ int run_perf_suite(const PerfOptions& options) {
 
   bool check_passed = true;
   if (options.check) {
-    const double speedup =
-        ttable_ns > 0.0 && reference_ns > 0.0 ? reference_ns / ttable_ns : 0.0;
-    check_passed = speedup >= 2.0;
-    std::fprintf(stderr, "check: ttable %.1fx reference (needs >= 2.0x): %s\n",
-                 speedup, check_passed ? "ok" : "FAIL");
+    if (aesni == nullptr) {
+      std::fprintf(stderr,
+                   "check: AES-NI vs reference skipped: this CPU (or a "
+                   "-DMEECC_NO_SIMD=ON build) has no AES-NI\n");
+    } else {
+      const double speedup = reference_ns / aesni_ns;
+      check_passed = speedup >= 2.0;
+      std::fprintf(stderr,
+                   "check: AES-NI %.1fx reference (needs >= 2.0x): %s\n",
+                   speedup, check_passed ? "ok" : "FAIL");
+    }
     if (options.run_sweep && !sweep.identical_results) {
       std::fprintf(stderr,
                    "check: snapshot-reuse results differ from fresh: FAIL\n");

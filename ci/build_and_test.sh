@@ -15,14 +15,16 @@ set -euo pipefail
 #             -Werror); runs as its own CI job so shadowing regressions fail
 #             without holding up the main matrix
 #   perf      Release build; runs the crypto/scheduler micro-kernels and
-#             `meecc_bench perf --check` (fails if the ttable AES backend is
-#             not at least 2x the reference, if the campaign macro-benchmark's
-#             recycled and fresh sweeps diverge, or if recycling allocates
-#             more than 10% of the fresh path's allocations per trial),
-#             leaving BENCH_hotpath.json in $ROOT/ci-artifacts for upload
-#   nosimd    -DMEECC_NO_SIMD=ON build (portable scalar tag probe); runs the
-#             unit and golden-trace tiers so the scalar cache-probe path
-#             proves the same golden traces as the SIMD one
+#             `meecc_bench perf --check` (fails if AES-NI is not at least 2x
+#             the reference AES — skipped with a printed reason on CPUs
+#             without AES-NI — if the campaign macro-benchmark's recycled
+#             and fresh sweeps diverge, or if recycling allocates more than
+#             10% of the fresh path's allocations per trial), leaving
+#             BENCH_hotpath.json in $ROOT/ci-artifacts for upload
+#   nosimd    -DMEECC_NO_SIMD=ON build (portable scalar tag probe and the
+#             portable byte-wise AES instead of AES-NI); runs the unit and
+#             golden-trace tiers so the portable paths prove the same golden
+#             traces as the SIMD/AES-NI ones
 #   shard     sharded-campaign fabric end to end: run a small sweep as three
 #             shards (one killed mid-run via --stop-after and resumed),
 #             merge, and diff against the unsharded JSONL; then rerun the
@@ -87,14 +89,15 @@ elif [ "$STAGE" = "perf" ]; then
     --benchmark_filter='BM_(AesEncryptBlock|LineEncrypt|MultilinearTag|SchedulerDispatch|SchedulerChurn)' \
     --benchmark_min_time=0.05
   # The tracked suite: BENCH_hotpath.json is the uploadable baseline;
-  # --check enforces ttable >= 2x reference AES, that snapshot-reuse and
-  # bed-recycling sweep results are byte-identical to fresh ones, and that
-  # the campaign macro-benchmark's recycled path allocates <= 10% of the
-  # fresh path's allocations per trial; --compare fails the stage when any
-  # tracked kernel regresses >15% against the committed baseline (timing
-  # kernels on CPU-time clocks, the campaign on allocation counts — the
-  # only campaign metric stable enough on shared CI runners to gate on;
-  # throughput stays in the JSON's "campaign" section for humans).
+  # --check enforces AES-NI >= 2x reference AES (when the CPU has AES-NI),
+  # that snapshot-reuse and bed-recycling sweep results are byte-identical
+  # to fresh ones, and that the campaign macro-benchmark's recycled path
+  # allocates <= 10% of the fresh path's allocations per trial; --compare
+  # fails the stage when any tracked kernel regresses >15% against the
+  # committed baseline (timing kernels on CPU-time clocks, the campaign on
+  # allocation counts — the only campaign metric stable enough on shared CI
+  # runners to gate on; throughput stays in the JSON's "campaign" section
+  # for humans).
   "$DIR/bench/meecc_bench" perf --out "$ARTIFACTS/BENCH_hotpath.json" --check \
     --compare "$ROOT/BENCH_hotpath.json"
   echo "CI OK (perf)"
@@ -106,9 +109,10 @@ elif [ "$STAGE" = "nosimd" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMEECC_WERROR=ON -DMEECC_NO_SIMD=ON
   cmake --build "$DIR" -j "$JOBS"
   # Unit tier plus the golden traces: byte-identical traces from the scalar
-  # find_slot path is the gate that SIMD never changed behavior. The
-  # serialize round-trip rides along so snapshot wire bytes are proven
-  # backend-invariant on the scalar path too.
+  # find_slot path and the byte-wise Aes128 (AES-NI is compiled out here)
+  # are the gate that SIMD and AES-NI never changed behavior. The serialize
+  # round-trip rides along so a decoded snapshot replays the golden trace
+  # on the portable paths too.
   ctest --test-dir "$DIR" --output-on-failure -j "$JOBS" -L unit
   "$DIR/tests/golden_trace_test"
   "$DIR/tests/serialize_test"

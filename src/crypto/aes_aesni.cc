@@ -1,17 +1,17 @@
 // AES-NI backend: one hardware round instruction per AES round. Compiled
 // with per-function target attributes (no global -maes), so the binary
-// still runs on CPUs without the extension — the registry consults
-// aesni_supported() (CPUID) before ever constructing this backend.
+// still runs on CPUs without the extension — make_aesni_backend() consults
+// CPUID before ever constructing it. -DMEECC_NO_SIMD=ON compiles it out
+// (the same switch as the SIMD tag probe), so that build runs the portable
+// Aes128 everywhere.
 //
 // Round keys come from the shared portable key schedule (aes_internals.h)
 // instead of aeskeygenassist gymnastics: key setup is off the hot path, and
-// one schedule shared by all backends means they cannot disagree.
-#include <cstring>
-
-#include "crypto/aes_backend_impl.h"
+// one schedule shared with Aes128 means the two cannot disagree.
+#include "crypto/aes_backend.h"
 #include "crypto/aes_internals.h"
 
-#if defined(__x86_64__) || defined(__i386__)
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(MEECC_NO_SIMD)
 #define MEECC_AESNI_COMPILED 1
 #include <wmmintrin.h>
 #endif
@@ -66,48 +66,25 @@ class AesniBackend final : public AesBackend {
     }
   }
 
-  __attribute__((target("aes,sse2"))) Block
-  decrypt(const Block& ciphertext) const override {
-    __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ciphertext.data()));
-    s = _mm_xor_si128(s, dec_[0]);
-    for (int round = 1; round < 10; ++round) s = _mm_aesdec_si128(s, dec_[round]);
-    s = _mm_aesdeclast_si128(s, dec_[10]);
-    Block out;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out.data()), s);
-    return out;
-  }
-
  private:
   __attribute__((target("aes,sse2"))) void init(const Key128& key) {
     const RoundKeys round_keys = expand_key(key);
     for (int round = 0; round < 11; ++round)
       enc_[round] = _mm_loadu_si128(
           reinterpret_cast<const __m128i*>(round_keys[round].data()));
-    // Equivalent inverse cipher: reverse key order, InvMixColumns (aesimc)
-    // on the middle keys.
-    dec_[0] = enc_[10];
-    for (int round = 1; round < 10; ++round)
-      dec_[round] = _mm_aesimc_si128(enc_[10 - round]);
-    dec_[10] = enc_[0];
   }
 
   __m128i enc_[11];
-  __m128i dec_[11];
 };
 
 }  // namespace
 
-bool aesni_supported() { return __builtin_cpu_supports("aes"); }
-
 std::unique_ptr<const AesBackend> make_aesni_backend(const Key128& key) {
-  if (!aesni_supported()) return nullptr;
+  if (!__builtin_cpu_supports("aes")) return nullptr;
   return std::make_unique<AesniBackend>(key);
 }
 
 #else  // !MEECC_AESNI_COMPILED
-
-bool aesni_supported() { return false; }
 
 std::unique_ptr<const AesBackend> make_aesni_backend(const Key128&) {
   return nullptr;

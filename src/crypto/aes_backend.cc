@@ -1,15 +1,16 @@
 #include "crypto/aes_backend.h"
 
-#include <stdexcept>
-
-#include "common/check.h"
-#include "crypto/aes_backend_impl.h"
-
 namespace meecc::crypto {
+
+namespace detail {
+/// Defined in aes_aesni.cc. Null when the CPU lacks the AES extension or
+/// the build is -DMEECC_NO_SIMD=ON.
+std::unique_ptr<const AesBackend> make_aesni_backend(const Key128& key);
+}  // namespace detail
+
 namespace {
 
-/// Reference backend: the byte-wise FIPS-197 implementation every other
-/// backend is validated against.
+/// The byte-wise FIPS-197 cipher: the path on CPUs without AES-NI.
 class ReferenceBackend final : public AesBackend {
  public:
   explicit ReferenceBackend(const Key128& key) : aes_(key) {}
@@ -17,74 +18,16 @@ class ReferenceBackend final : public AesBackend {
   Block encrypt(const Block& plaintext) const override {
     return aes_.encrypt(plaintext);
   }
-  Block decrypt(const Block& ciphertext) const override {
-    return aes_.decrypt(ciphertext);
-  }
 
  private:
   Aes128 aes_;
 };
 
-std::unique_ptr<const AesBackend> make_reference(const Key128& key) {
-  return std::make_unique<ReferenceBackend>(key);
-}
-
-struct BackendInfo {
-  std::string_view name;
-  bool (*available)();
-  std::unique_ptr<const AesBackend> (*make)(const Key128&);
-};
-
-bool always_available() { return true; }
-
-constexpr BackendInfo kBackends[] = {
-    {"reference", always_available, make_reference},
-    {"ttable", always_available, detail::make_ttable_backend},
-    {"aesni", detail::aesni_supported, detail::make_aesni_backend},
-};
-
-const BackendInfo* find_backend(std::string_view name) {
-  for (const auto& info : kBackends)
-    if (info.name == name) return &info;
-  return nullptr;
-}
-
 }  // namespace
 
-std::vector<std::string> aes_backend_names() {
-  std::vector<std::string> names;
-  for (const auto& info : kBackends) names.emplace_back(info.name);
-  names.emplace_back(kAutoBackend);
-  return names;
-}
-
-bool is_aes_backend(std::string_view name) {
-  return name == kAutoBackend || find_backend(name) != nullptr;
-}
-
-bool aes_backend_available(std::string_view name) {
-  if (name == kAutoBackend) return true;
-  const BackendInfo* info = find_backend(name);
-  return info != nullptr && info->available();
-}
-
-std::string_view resolve_aes_backend(std::string_view name) {
-  if (name != kAutoBackend) return name;
-  return detail::aesni_supported() ? "aesni" : "ttable";
-}
-
-std::unique_ptr<const AesBackend> make_aes_backend(std::string_view name,
-                                                   const Key128& key) {
-  const std::string_view resolved = resolve_aes_backend(name);
-  const BackendInfo* info = find_backend(resolved);
-  if (info == nullptr)
-    throw std::invalid_argument("unknown AES backend '" + std::string(name) +
-                                "'");
-  MEECC_CHECK_MSG(info->available(),
-                  "AES backend not supported on this CPU");
-  auto backend = info->make(key);
-  MEECC_CHECK(backend != nullptr);
-  return backend;
+std::unique_ptr<const AesBackend> make_aes_backend(const Key128& key) {
+  if (auto aesni = detail::make_aesni_backend(key)) return aesni;
+  return std::make_unique<ReferenceBackend>(key);
 }
 
 }  // namespace meecc::crypto

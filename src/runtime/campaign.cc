@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -21,15 +22,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::uint64_t parse_counting_number(std::string_view text,
-                                    std::string_view what) {
+/// Parses a shard index or count; anything outside [0, UINT32_MAX] is
+/// rejected rather than truncated into a different, valid-looking shard.
+unsigned parse_shard_number(std::string_view text, std::string_view what) {
   std::uint64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size())
+  if (ec != std::errc{} || ptr != text.data() + text.size() ||
+      value > std::numeric_limits<std::uint32_t>::max())
     throw ParamError("bad " + std::string(what) + " '" + std::string(text) +
                      "'");
-  return value;
+  return static_cast<unsigned>(value);
 }
 
 std::string shard_stem(const ShardSpec& shard) {
@@ -135,12 +138,12 @@ ShardSpec parse_shard(const std::string& text) {
   if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size())
     throw ParamError("--shard wants i/N, got '" + text + "'");
   ShardSpec shard;
-  shard.index = static_cast<unsigned>(
-      parse_counting_number(std::string_view(text).substr(0, slash),
-                            "--shard index"));
-  shard.count = static_cast<unsigned>(
-      parse_counting_number(std::string_view(text).substr(slash + 1),
-                            "--shard count"));
+  shard.index =
+      parse_shard_number(std::string_view(text).substr(0, slash),
+                         "--shard index");
+  shard.count =
+      parse_shard_number(std::string_view(text).substr(slash + 1),
+                         "--shard count");
   if (shard.count == 0 || shard.index == 0 || shard.index > shard.count)
     throw ParamError("--shard " + text + " is out of range (want 1 <= i <= N)");
   return shard;

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/proc_rss.h"
@@ -97,7 +98,8 @@ TEST(ShardSpec, ParseAcceptsValidAndRejectsMalformed) {
   const runtime::ShardSpec spec = runtime::parse_shard("2/4");
   EXPECT_EQ(spec.index, 2u);
   EXPECT_EQ(spec.count, 4u);
-  for (const char* bad : {"", "3", "/4", "3/", "0/4", "5/4", "a/b", "1/0"})
+  for (const char* bad : {"", "3", "/4", "3/", "0/4", "5/4", "a/b", "1/0",
+                          "1/4294967297", "4294967297/2"})
     EXPECT_THROW(runtime::parse_shard(bad), runtime::ParamError) << bad;
 }
 
@@ -405,9 +407,12 @@ TEST(CampaignStreaming, HundredThousandTrialRssStaysFlat) {
   exp.run = [](const runtime::TrialSpec& spec) {
     Rng rng(spec.seed * 1009 + spec.trial_index);
     runtime::TrialResult result;
-    for (int m = 0; m < 32; ++m)
-      result.metric("m" + std::to_string(m),
+    for (int m = 0; m < 32; ++m) {
+      std::string name = "m";
+      name += std::to_string(m);
+      result.metric(std::move(name),
                     static_cast<double>(rng.next_u64() % 1000000));
+    }
     return result;
   };
   const auto wide_trials = [](std::size_t count) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "obs/counters.h"
 #include "obs/hub.h"
@@ -60,8 +61,11 @@ TEST(Counters, HandlesSurviveLaterRegistrations) {
   Counter first = registry.counter("g", "a");
   first.inc();
   // Storms of new registrations must not invalidate the old slot.
-  for (int i = 0; i < 200; ++i)
-    registry.counter("g" + std::to_string(i), "x").inc();
+  for (int i = 0; i < 200; ++i) {
+    std::string group = "g";
+    group += std::to_string(i);
+    registry.counter(group, "x").inc();
+  }
   first.inc();
   EXPECT_EQ(first.value(), 2u);
 }
