@@ -11,6 +11,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -23,6 +24,7 @@
 #include "cache/set_assoc_cache.h"
 #include "cache/tag_probe.h"
 #include "channel/covert_channel.h"
+#include "channel/primitives.h"
 #include "channel/testbed.h"
 #include "common/proc_rss.h"
 #include "common/rng.h"
@@ -95,6 +97,19 @@ sim::Process ticker(sim::Scheduler& scheduler, std::uint64_t events) {
 
 sim::Process one_shot(sim::Scheduler& scheduler) {
   co_await sim::WakeAt{scheduler, scheduler.now() + 1};
+}
+
+/// `pairs` access+clflush pairs through channel::prime_pass, cycling over
+/// `lines`, then raises `done`.
+sim::Process prime_pairs(sim::Actor& actor, const std::vector<VirtAddr>& lines,
+                         std::uint64_t pairs, bool& done) {
+  for (std::uint64_t p = 0; p < pairs / lines.size(); ++p)
+    co_await channel::prime_pass(actor, lines);
+  const std::vector<VirtAddr> tail(
+      lines.begin(),
+      lines.begin() + static_cast<std::ptrdiff_t>(pairs % lines.size()));
+  co_await channel::prime_pass(actor, tail);
+  done = true;
 }
 
 crypto::Key128 bench_key() {
@@ -802,10 +817,42 @@ int run_perf_suite(const PerfOptions& options) {
            }));
   }
 
+  // --- Algorithm 1's access+clflush pair, end to end through a bed --------
+  // One protected load + clflush per op, over 64 spy-enclave lines 4 KB
+  // apart, on the default (functional_crypto=false) bed the experiments
+  // run, background agent included: hierarchy, MEE walk, DRAM and the
+  // coroutine/scheduler path together — the whole host cost of one
+  // simulated walk, next to mee_walk.hot's share of it.
+  {
+    channel::TestBedConfig config = channel::default_testbed_config(1);
+    config.system.mee.functional_crypto = false;
+    channel::TestBed bed(config);
+    std::vector<VirtAddr> lines;
+    for (std::uint64_t i = 0; i < 64; ++i)
+      lines.push_back(VirtAddr{bed.spy_enclave().base().raw + i * 4096});
+    record("touch_flush.pair", ns_per_op([&](std::uint64_t iters) {
+             bool done = false;
+             bed.spy().busy_wait_until(bed.scheduler().now());
+             bed.scheduler().spawn(prime_pairs(bed.spy(), lines, iters, done),
+                                   bed.spy().now());
+             // The bed's clock keeps running across repetitions.
+             bed.run_until_flag(done, std::numeric_limits<Cycles>::max());
+           }));
+  }
+
   // --- scheduler: per-event dispatch and spawn/complete churn -------------
+  // A lone ticker is always next in line, so every event takes the inline
+  // path (Scheduler::dispatch_inline); two tickers in lockstep always find
+  // the other's event pending first, so each of theirs is a queue round trip.
   record("scheduler.dispatch", ns_per_op([](std::uint64_t iters) {
            sim::Scheduler scheduler;
            scheduler.spawn(ticker(scheduler, iters));
+           scheduler.run_to_completion();
+         }));
+  record("scheduler.dispatch_queued", ns_per_op([](std::uint64_t iters) {
+           sim::Scheduler scheduler;
+           scheduler.spawn(ticker(scheduler, iters / 2));
+           scheduler.spawn(ticker(scheduler, iters - iters / 2));
            scheduler.run_to_completion();
          }));
   record("scheduler.churn", ns_per_op([](std::uint64_t iters) {

@@ -1,6 +1,7 @@
 #include "cache/hierarchy.h"
 
 #include <atomic>
+#include <bit>
 
 #include "common/check.h"
 
@@ -34,6 +35,9 @@ Hierarchy::Hierarchy(const HierarchyConfig& config, unsigned core_count,
   }
   llc_ = std::make_unique<SetAssocCache>(config_.llc, config_.llc_policy,
                                          rng.fork());
+  inclusive_ = llc_->fill_policy().admits_every_miss() &&
+               core_count <= kMaxSharerCores;
+  if (inclusive_) llc_->track_sharers(SharerMask((1u << core_count) - 1));
   if (hub_ != nullptr) {
     auto& registry = hub_->registry();
     l1_counters_ = {registry.counter("cache.l1", "hits"),
@@ -69,7 +73,7 @@ HierarchyResult Hierarchy::access(CoreId core, PhysAddr addr, Cycles now) {
   }
   l2_counters_.misses.inc();
 
-  if (llc_->lookup(line)) {
+  if (llc_->lookup_shared(line, core)) {
     llc_counters_.hits.inc();
     l2.fill_after_miss(line);
     l1.fill_after_miss(line);
@@ -80,16 +84,16 @@ HierarchyResult Hierarchy::access(CoreId core, PhysAddr addr, Cycles now) {
   // Miss everywhere: fill inclusive, honoring back-invalidation. The LLC
   // fill carries the requesting core so a partitioned/random fill policy on
   // the shared level can tell tenants apart.
-  if (const auto evicted = llc_->fill_after_miss(line, kAllWays, core)) {
+  if (const auto evicted = llc_->fill_shared_after_miss(line, core)) {
     llc_evictions_.inc();
     if (hub_ != nullptr && hub_->tracing())
       hub_->trace({.cycle = now,
                    .component = obs::Component::kCache,
                    .core = core.value,
-                   .addr = evicted->raw,
+                   .addr = evicted->line.raw,
                    .kind = "evict",
                    .outcome = "LLC"});
-    back_invalidate(*evicted);
+    back_invalidate(evicted->line, evicted->sharers);
   }
   // Still safe after the LLC fill: back_invalidate only removed the evicted
   // victim, which cannot be `line` (it was absent when the victim was
@@ -102,8 +106,9 @@ HierarchyResult Hierarchy::access(CoreId core, PhysAddr addr, Cycles now) {
 Cycles Hierarchy::clflush(PhysAddr addr) {
   const PhysAddr line = addr.line_base();
   clflushes_.inc();
-  llc_->invalidate(line);
-  back_invalidate(line);
+  const auto sharers = llc_->invalidate_shared(line);
+  // Inclusive: a line the LLC does not hold has no private copies either.
+  if (sharers || !inclusive_) back_invalidate(line, sharers.value_or(0));
   return config_.clflush_latency;
 }
 
@@ -116,10 +121,21 @@ bool Hierarchy::resident(PhysAddr addr) const {
   return false;
 }
 
-void Hierarchy::back_invalidate(PhysAddr addr) {
-  for (std::size_t c = 0; c < l1_.size(); ++c) {
-    l1_[c]->invalidate(addr);
-    l2_[c]->invalidate(addr);
+void Hierarchy::back_invalidate(PhysAddr line, SharerMask sharers) {
+  // Invalidating an absent line has no side effects, so probing only the
+  // marked cores (stale bits included) leaves exactly the state a probe of
+  // every core would.
+  if (!inclusive_) {
+    for (std::size_t c = 0; c < l1_.size(); ++c) {
+      l1_[c]->invalidate(line);
+      l2_[c]->invalidate(line);
+    }
+    return;
+  }
+  for (; sharers != 0; sharers &= SharerMask(sharers - 1)) {
+    const auto c = static_cast<std::size_t>(std::countr_zero(sharers));
+    l1_[c]->invalidate(line);
+    l2_[c]->invalidate(line);
   }
 }
 

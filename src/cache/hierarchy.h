@@ -4,6 +4,13 @@
 // line from every private cache too, guaranteeing the next access reaches
 // DRAM — and, for protected addresses, the MEE. The MEE cache is NOT part of
 // this hierarchy and is untouched by clflush (paper §3 challenge 1).
+//
+// When the LLC fill policy admits every miss the hierarchy is strictly
+// inclusive, and the LLC keeps a sharer plane (SetAssocCache::track_sharers,
+// Intel's core-valid bits): clflush and back-invalidation then probe only
+// the private caches of the cores marked on the line, and an LLC miss proves
+// no private copy exists. A policy that may decline a miss (random fill)
+// breaks inclusion, so such a hierarchy probes every core as before.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +103,16 @@ class Hierarchy {
   void import_state(const State& state);
 
  private:
-  void back_invalidate(PhysAddr addr);
+  /// Removes `line` from the private caches of the cores in `sharers` —
+  /// or of every core when the hierarchy is not inclusive.
+  void back_invalidate(PhysAddr line, SharerMask sharers);
 
   HierarchyConfig config_;
   std::vector<std::unique_ptr<SetAssocCache>> l1_;
   std::vector<std::unique_ptr<SetAssocCache>> l2_;
   std::unique_ptr<SetAssocCache> llc_;
+  /// The LLC admits every miss and tracks sharers (see the file comment).
+  bool inclusive_ = false;
 
   /// image_id of the last State imported (or 0): gates the fast re-import.
   std::uint64_t last_import_id_ = 0;

@@ -118,6 +118,7 @@ class AllWaysFill final : public FillPolicy {
  public:
   std::string_view name() const override { return "all"; }
   bool passthrough() const override { return true; }
+  bool admits_every_miss() const override { return true; }
   std::unique_ptr<FillPolicy> clone() const override {
     return std::make_unique<AllWaysFill>(*this);
   }
@@ -135,6 +136,7 @@ class PartitionFill final : public FillPolicy {
   WayMask allowed_ways(CoreId requester) const override {
     return way_partition_mask(ways_, requester);
   }
+  bool admits_every_miss() const override { return true; }
 
   std::unique_ptr<FillPolicy> clone() const override {
     return std::make_unique<PartitionFill>(*this);

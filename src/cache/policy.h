@@ -125,6 +125,13 @@ class FillPolicy {
   /// both virtual calls per miss.
   virtual bool passthrough() const { return false; }
 
+  /// True when admits() can never decline a miss. A hierarchy whose LLC
+  /// fill policy says so is strictly inclusive, which lets it track private
+  /// copies per LLC line instead of probing every core (cache/hierarchy.h).
+  /// Conservative default: a policy that doesn't say so is assumed to
+  /// decline some misses.
+  virtual bool admits_every_miss() const { return false; }
+
   /// Deep copy (snapshot/fork support); same nullptr contract as
   /// IndexingPolicy::clone().
   virtual std::unique_ptr<FillPolicy> clone() const { return nullptr; }

@@ -21,7 +21,6 @@ SetAssocCache::SetAssocCache(const Geometry& geometry,
   tags_.assign(sets * geometry_.ways, kInvalidLine);
   valid_.assign(sets, 0);
   set_evictions_.assign(sets, 0);
-  set_stamp_.assign(sets, 0);
   ways_mask_ = geometry_.ways >= 64 ? ~std::uint64_t{0}
                                     : (std::uint64_t{1} << geometry_.ways) - 1;
   flat_plru_ = replacement == ReplacementKind::kTreePlru;
@@ -139,11 +138,11 @@ SetAssocCache::SetAssocCache(const SetAssocCache& other)
       direct_modulo_(other.direct_modulo_),
       direct_mask_(other.direct_mask_),
       fill_passthrough_(other.fill_passthrough_),
-      rng_(other.rng_),
-      // The copy starts life as a clean image of `other`; it does not
-      // inherit the donor's dirty set (which describes the donor's drift
-      // from ITS baseline, not this copy's).
-      set_stamp_(other.set_stamp_.size(), 0) {
+      rng_(other.rng_) {
+  // The copy starts life as a clean image of `other`; it does not inherit
+  // the donor's dirty set (which describes the donor's drift from ITS
+  // baseline, not this copy's), and its stamp plane stays unallocated
+  // until its first mutation — a snapshot image never has one.
   MEECC_CHECK_MSG(indexing_ != nullptr && fill_ != nullptr,
                   "cache policy does not implement clone(); snapshot/fork "
                   "needs cloneable policies");
@@ -154,6 +153,11 @@ SetAssocCache::SetAssocCache(const SetAssocCache& other)
 SetAssocCache& SetAssocCache::operator=(const SetAssocCache& other) {
   if (this != &other) {
     SetAssocCache copy(other);
+    // The live cache keeps its sharer plane; every restored line is marked
+    // shared by all cores.
+    copy.sharers_ = std::move(sharers_);
+    copy.all_sharers_ = all_sharers_;
+    std::fill(copy.sharers_.begin(), copy.sharers_.end(), all_sharers_);
     *this = std::move(copy);
   }
   return *this;
@@ -195,16 +199,20 @@ bool SetAssocCache::contains(PhysAddr addr) const {
   return find_slot(line_index_of(addr)).has_value();
 }
 
-bool SetAssocCache::lookup(PhysAddr addr) {
+std::optional<SetAssocCache::Slot> SetAssocCache::lookup_slot(PhysAddr addr) {
   const auto slot = find_slot(line_index_of(addr));
   if (!slot) {
     ++stats_.misses;
-    return false;
+    return std::nullopt;
   }
   ++stats_.hits;
   policy_touch(slot->set, slot->way);
   mark_dirty(slot->set);
-  return true;
+  return slot;
+}
+
+bool SetAssocCache::lookup(PhysAddr addr) {
+  return lookup_slot(addr).has_value();
 }
 
 SetAssocCache::Slot SetAssocCache::pick_victim(std::uint64_t line,
@@ -272,7 +280,8 @@ std::optional<PhysAddr> SetAssocCache::fill_after_miss(PhysAddr addr,
 
 std::optional<PhysAddr> SetAssocCache::fill_impl(PhysAddr addr, WayMask allowed,
                                                  CoreId requester,
-                                                 bool check_resident) {
+                                                 bool check_resident,
+                                                 SharerMask* evicted_sharers) {
   if (!fill_passthrough_) allowed &= fill_->allowed_ways(requester);
   MEECC_CHECK_MSG(allowed != 0, "fill with empty way mask");
   const auto line = line_index_of(addr);
@@ -303,6 +312,11 @@ std::optional<PhysAddr> SetAssocCache::fill_impl(PhysAddr addr, WayMask allowed,
   }
   victim_tag = line;
   valid_[victim.set] |= way_bit;
+  if (!sharers_.empty()) {
+    SharerMask& sharers = sharers_[slot_index(victim)];
+    if (evicted && evicted_sharers != nullptr) *evicted_sharers = sharers;
+    sharers = SharerMask(1u << requester.value);
+  }
   policy_touch(victim.set, victim.way);
   mark_dirty(victim.set);
   return evicted;
@@ -315,14 +329,46 @@ bool SetAssocCache::access(PhysAddr addr, WayMask allowed, CoreId requester) {
 }
 
 bool SetAssocCache::invalidate(PhysAddr addr) {
-  const auto slot = find_slot(line_index_of(addr));
+  return invalidate_shared(addr).has_value();
+}
+
+void SetAssocCache::track_sharers(SharerMask all_cores) {
+  all_sharers_ = all_cores;
+  sharers_.assign(tags_.size(), all_cores);
+}
+
+bool SetAssocCache::lookup_shared(PhysAddr addr, CoreId core) {
+  const auto slot = lookup_slot(addr);
   if (!slot) return false;
+  if (!sharers_.empty())
+    sharers_[slot_index(*slot)] |= SharerMask(1u << core.value);
+  return true;
+}
+
+std::optional<SetAssocCache::Eviction> SetAssocCache::fill_shared_after_miss(
+    PhysAddr addr, CoreId core) {
+  SharerMask sharers = 0;
+  const auto evicted = fill_impl(addr, kAllWays, core,
+                                 /*check_resident=*/false, &sharers);
+  if (!evicted) return std::nullopt;
+  return Eviction{*evicted, sharers};
+}
+
+std::optional<SharerMask> SetAssocCache::invalidate_shared(PhysAddr addr) {
+  const auto slot = find_slot(line_index_of(addr));
+  if (!slot) return std::nullopt;
   tag_at(slot->set, slot->way) = kInvalidLine;
   valid_[slot->set] &= ~(std::uint64_t{1} << slot->way);
   policy_invalidate(slot->set, slot->way);
   mark_dirty(slot->set);
   ++stats_.invalidations;
-  return true;
+  return sharers_.empty() ? SharerMask{0} : sharers_[slot_index(*slot)];
+}
+
+SharerMask SetAssocCache::sharers_of(PhysAddr addr) const {
+  if (sharers_.empty()) return 0;
+  const auto slot = find_slot(line_index_of(addr));
+  return slot ? sharers_[slot_index(*slot)] : SharerMask{0};
 }
 
 void SetAssocCache::flush_all() {
@@ -424,9 +470,14 @@ bool SetAssocCache::fast_rewind_to(const SetAssocCache& baseline) {
       tags_.size() != baseline.tags_.size())
     return false;
   const std::uint32_t ways = geometry_.ways;
+  const bool sharers = !sharers_.empty();
   for (const std::uint32_t s : dirty_sets_) {
     std::copy_n(baseline.tags_.data() + std::uint64_t{s} * ways, ways,
                 tags_.data() + std::uint64_t{s} * ways);
+    // Untouched sets keep the all-cores marks their last restore wrote.
+    if (sharers)
+      std::fill_n(sharers_.data() + std::uint64_t{s} * ways, ways,
+                  all_sharers_);
     valid_[s] = baseline.valid_[s];
     plru_[s] = baseline.plru_[s];
     set_evictions_[s] = baseline.set_evictions_[s];

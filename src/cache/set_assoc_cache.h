@@ -32,6 +32,11 @@
 
 namespace meecc::cache {
 
+/// Core-presence bits of one LLC slot: bit c set = core c may hold the
+/// line in its private caches.
+using SharerMask = std::uint8_t;
+inline constexpr unsigned kMaxSharerCores = 8;
+
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -58,8 +63,11 @@ class SetAssocCache {
   /// Deep copy (snapshot/fork support): copies all three planes and clones
   /// the policy objects so the copy replays the identical victim/admission
   /// streams. Throws CheckFailure when an externally registered policy
-  /// doesn't implement clone(). Declaring the copy pair suppresses the
-  /// implicit moves, so they're re-defaulted explicitly.
+  /// doesn't implement clone(). Like the dirty tracking, the sharer plane
+  /// belongs to the live cache, not to its image: a copy does not carry
+  /// one, and copy assignment keeps the destination's (see
+  /// track_sharers()). Declaring the copy pair suppresses the implicit
+  /// moves, so they're re-defaulted explicitly.
   SetAssocCache(const SetAssocCache& other);
   SetAssocCache& operator=(const SetAssocCache& other);
   SetAssocCache(SetAssocCache&&) = default;
@@ -95,6 +103,40 @@ class SetAssocCache {
 
   /// Removes the line if present (clflush / back-invalidation).
   bool invalidate(PhysAddr addr);
+
+  /// Sharer plane: one SharerMask per slot, like Intel's core-valid bits,
+  /// kept only by an inclusive LLC (Hierarchy turns it on; `all_cores` has
+  /// one bit per core). A bit may be stale — the core's private copy left
+  /// on its own — but is never missing, so invalidating the marked cores
+  /// alone removes every private copy. The plane is not part of the cache
+  /// image: copies and the snapshot wire format leave it out. Restoring a
+  /// tracking cache from an image — copy assignment or fast_rewind_to() —
+  /// marks each restored line as shared by all cores, a superset that
+  /// stays exact; the slot's next fill makes its mask precise again. The
+  /// plane stays complete only while the owner reaches the cache through
+  /// the *_shared calls below (fill() of a resident line marks nobody).
+  void track_sharers(SharerMask all_cores);
+  bool tracks_sharers() const { return !sharers_.empty(); }
+
+  /// lookup() that, on a hit, also marks `core` a sharer of the line.
+  bool lookup_shared(PhysAddr addr, CoreId core);
+
+  /// A line displaced by fill_shared_after_miss(), with its sharers (0 when
+  /// the plane is off).
+  struct Eviction {
+    PhysAddr line;
+    SharerMask sharers = 0;
+  };
+  /// fill_after_miss(addr, kAllWays, core) that makes `core` the installed
+  /// line's only sharer and reports the displaced line's sharers.
+  std::optional<Eviction> fill_shared_after_miss(PhysAddr addr, CoreId core);
+
+  /// invalidate() that returns the removed line's sharers (0 when the plane
+  /// is off), or nullopt when the line was absent.
+  std::optional<SharerMask> invalidate_shared(PhysAddr addr);
+
+  /// The line's sharers; 0 when absent or the plane is off.
+  SharerMask sharers_of(PhysAddr addr) const;
 
   void flush_all();
 
@@ -165,9 +207,18 @@ class SetAssocCache {
   std::uint64_t& tag_at(std::uint64_t set, std::uint32_t way);
   std::uint64_t tag_at(std::uint64_t set, std::uint32_t way) const;
   std::optional<Slot> find_slot(std::uint64_t line) const;
+  /// lookup() returning the hit slot.
+  std::optional<Slot> lookup_slot(PhysAddr addr);
   Slot pick_victim(std::uint64_t line, WayMask allowed);
+  /// Installs `addr`; on a sharer-tracking cache the slot's mask becomes
+  /// the requester alone and a displaced line's old mask lands in
+  /// `evicted_sharers` (when non-null).
   std::optional<PhysAddr> fill_impl(PhysAddr addr, WayMask allowed,
-                                    CoreId requester, bool check_resident);
+                                    CoreId requester, bool check_resident,
+                                    SharerMask* evicted_sharers = nullptr);
+  std::uint64_t slot_index(Slot slot) const {
+    return slot.set * geometry_.ways + slot.way;
+  }
 
   /// Replacement-state entry points. Tree-PLRU — the default policy on
   /// every modelled cache — lives packed in the plru_ plane and is handled
@@ -211,6 +262,10 @@ class SetAssocCache {
   bool flat_plru_ = false;
   std::uint32_t plru_depth_ = 0;  // log2(ways)
   std::vector<std::uint64_t> set_evictions_;
+  /// Sharer plane (see track_sharers()): sets * ways masks, row-major like
+  /// tags_; empty when off. all_sharers_ is the mask of every core.
+  std::vector<SharerMask> sharers_;
+  SharerMask all_sharers_ = 0;
   CacheStats stats_;
   /// log2(line_size); validate() guarantees a power-of-two line size, so
   /// every addr→line-index division on the access paths becomes a shift.
@@ -235,8 +290,10 @@ class SetAssocCache {
   /// its set with the current generation and (first time per generation)
   /// records it in dirty_sets_. A generation bump is the O(1) "mark all
   /// clean"; dirty_sets_ keeps its capacity across trials so steady-state
-  /// tracking allocates nothing.
+  /// tracking allocates nothing. The stamp plane is allocated on the first
+  /// mutation, so never-mutated copies (snapshot images) don't carry one.
   void mark_dirty(std::uint64_t set) {
+    if (set_stamp_.empty()) set_stamp_.assign(valid_.size(), 0);
     if (set_stamp_[set] == stamp_gen_) return;
     set_stamp_[set] = stamp_gen_;
     dirty_sets_.push_back(static_cast<std::uint32_t>(set));

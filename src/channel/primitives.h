@@ -19,10 +19,15 @@ inline sim::Task<> touch_and_flush(sim::Actor& actor, VirtAddr addr) {
   co_await actor.clflush(addr);
 }
 
-/// access+flush over a whole set, in order.
+/// access+flush over a whole set, in order. The pair is spelled out rather
+/// than awaited through touch_and_flush: this loop is the bulk of every
+/// Algorithm 1 run, and a child Task frame per pair is measurable there.
 inline sim::Task<> prime_pass(sim::Actor& actor,
                               const std::vector<VirtAddr>& set) {
-  for (const VirtAddr addr : set) co_await touch_and_flush(actor, addr);
+  for (const VirtAddr addr : set) {
+    co_await actor.read(addr);
+    co_await actor.clflush(addr);
+  }
 }
 
 /// Measures one read of `addr` with the hyperthread shared clock (the only
@@ -54,10 +59,16 @@ inline sim::Task<> calibrate_on_hits(sim::Actor& actor, VirtAddr addr,
 /// which a single linear pass does not reliably flush (paper §5.3).
 inline sim::Task<> evict_two_phase(sim::Actor& actor,
                                    const std::vector<VirtAddr>& set) {
-  for (const VirtAddr addr : set) co_await touch_and_flush(actor, addr);
+  // Pairs spelled out, as in prime_pass.
+  for (const VirtAddr addr : set) {
+    co_await actor.read(addr);
+    co_await actor.clflush(addr);
+  }
   actor.mfence();
-  for (auto it = set.rbegin(); it != set.rend(); ++it)
-    co_await touch_and_flush(actor, *it);
+  for (auto it = set.rbegin(); it != set.rend(); ++it) {
+    co_await actor.read(*it);
+    co_await actor.clflush(*it);
+  }
 }
 
 /// Algorithm 1's `eviction test`: load the victim's versions line, stream

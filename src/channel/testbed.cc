@@ -266,12 +266,12 @@ TestBedSnapshot decode_testbed_snapshot(io::Reader& r, sim::System& shape) {
 
 void TestBed::run_until_flag(const bool& done, Cycles max_cycles) {
   auto& scheduler = system_->scheduler();
-  while (!done) {
-    MEECC_CHECK_MSG(scheduler.step(),
-                    "scheduler drained before the experiment finished");
-    MEECC_CHECK_MSG(scheduler.now() < max_cycles,
-                    "experiment exceeded " << max_cycles << " cycles");
-  }
+  // Events at or past max_cycles never run: the bound is on the clock.
+  if (max_cycles > 0) scheduler.run_until_flag(done, max_cycles - 1);
+  if (done) return;
+  MEECC_CHECK_MSG(!scheduler.idle(),
+                  "scheduler drained before the experiment finished");
+  MEECC_CHECK_MSG(false, "experiment exceeded " << max_cycles << " cycles");
 }
 
 }  // namespace meecc::channel

@@ -99,7 +99,9 @@ class TestBed {
   sgx::Enclave& spy_enclave() { return *spy_enclave_; }
 
   /// Runs the scheduler until `done` becomes true. Throws CheckFailure if
-  /// the event queue drains or `max_cycles` elapse first.
+  /// the event queue drains first, or if the next event is due at or past
+  /// `max_cycles` — an absolute clock value, not a time elapsed since the
+  /// call.
   void run_until_flag(const bool& done, Cycles max_cycles = 2'000'000'000ULL);
 
   /// Spawns the configured Fig. 8 noise agent if it is not running yet

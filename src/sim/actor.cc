@@ -4,16 +4,6 @@
 
 namespace meecc::sim {
 
-MemOpAwaitable::MemOpAwaitable(Actor& actor, Op op, VirtAddr addr,
-                               const mem::Line* data)
-    : actor_(actor), op_(op), addr_(addr) {
-  if (data) data_ = *data;
-}
-
-void MemOpAwaitable::await_suspend(std::coroutine_handle<> handle) {
-  actor_.scheduler().enqueue(handle, actor_.now());
-}
-
 AccessResult MemOpAwaitable::await_resume() {
   System& system = actor_.system();
   AccessResult result;
@@ -24,7 +14,7 @@ AccessResult MemOpAwaitable::await_resume() {
       break;
     case Op::kWrite:
       result = system.do_write(actor_.core(), actor_.mode(), actor_.vas(),
-                               addr_, data_, actor_.now());
+                               addr_, *data_, actor_.now());
       break;
     case Op::kFlush:
       result.latency = system.do_clflush(actor_.vas(), addr_);

@@ -18,14 +18,18 @@ namespace meecc::sim {
 class Actor;
 
 /// Awaitable performing one memory operation. Suspends so the scheduler can
-/// order it against other agents, then executes at this actor's local time.
+/// order it against other agents — or continues in place when it would be
+/// dispatched next anyway (Scheduler::dispatch_inline) — then executes at
+/// this actor's local time. A write borrows its data: the line must outlive
+/// the co_await (a temporary in the co_await expression does).
 class MemOpAwaitable {
  public:
   enum class Op { kRead, kWrite, kFlush };
 
-  MemOpAwaitable(Actor& actor, Op op, VirtAddr addr, const mem::Line* data);
+  MemOpAwaitable(Actor& actor, Op op, VirtAddr addr, const mem::Line* data)
+      : actor_(actor), op_(op), addr_(addr), data_(data) {}
 
-  bool await_ready() const noexcept { return false; }
+  bool await_ready() noexcept;
   void await_suspend(std::coroutine_handle<> handle);
   AccessResult await_resume();
 
@@ -33,7 +37,7 @@ class MemOpAwaitable {
   Actor& actor_;
   Op op_;
   VirtAddr addr_;
-  mem::Line data_{};
+  const mem::Line* data_;
 };
 
 class Actor {
@@ -88,5 +92,13 @@ class Actor {
   Cycles now_ = 0;
   Rng rng_;
 };
+
+inline bool MemOpAwaitable::await_ready() noexcept {
+  return actor_.scheduler().dispatch_inline(actor_.now());
+}
+
+inline void MemOpAwaitable::await_suspend(std::coroutine_handle<> handle) {
+  actor_.scheduler().enqueue(handle, actor_.now());
+}
 
 }  // namespace meecc::sim

@@ -133,11 +133,11 @@ void Scheduler::retire_epoch() {
   epoch_pos_ = 0;
 }
 
-std::coroutine_handle<> Scheduler::take_next(bool limited, Cycles limit) {
+std::coroutine_handle<> Scheduler::take_next(Cycles limit) {
   if (epoch_active_) {
     TimeBucket& bucket = buckets_[epoch_slot_];
     if (epoch_pos_ < bucket.ready.size()) {
-      if (limited && bucket.when > limit) return nullptr;
+      if (bucket.when > limit) return nullptr;
       --pending_;
       return bucket.ready[epoch_pos_++];
     }
@@ -146,7 +146,7 @@ std::coroutine_handle<> Scheduler::take_next(bool limited, Cycles limit) {
     // first event with zero heap traffic.
     if (ondeck_slot_ != kNoBucket) {
       TimeBucket& next = buckets_[ondeck_slot_];
-      if (!limited || next.when <= limit) {
+      if (next.when <= limit) {
         bucket.ready.clear();
         bucket.live = false;
         if (spare_slot_ == kNoBucket)
@@ -162,15 +162,15 @@ std::coroutine_handle<> Scheduler::take_next(bool limited, Cycles limit) {
       }
     }
   }
-  return take_next_cold(limited, limit);
+  return take_next_cold(limit);
 }
 
-std::coroutine_handle<> Scheduler::take_next_cold(bool limited, Cycles limit) {
+std::coroutine_handle<> Scheduler::take_next_cold(Cycles limit) {
   if (epoch_active_) retire_epoch();
   if (ondeck_slot_ != kNoBucket) {
     // By invariant the on-deck bucket precedes every heap entry, so it
     // opens as the next epoch without touching the heap.
-    if (limited && buckets_[ondeck_slot_].when > limit) return nullptr;
+    if (buckets_[ondeck_slot_].when > limit) return nullptr;
     epoch_slot_ = ondeck_slot_;
     ondeck_slot_ = kNoBucket;
   } else {
@@ -185,7 +185,7 @@ std::coroutine_handle<> Scheduler::take_next_cold(bool limited, Cycles limit) {
         times_.pop();  // stale: emptied by cancel, slot possibly recycled
         continue;
       }
-      if (limited && next.when > limit) return nullptr;
+      if (next.when > limit) return nullptr;
       times_.pop();
       epoch_slot_ = next.slot;
       break;
@@ -226,38 +226,58 @@ void Scheduler::dispatch(std::coroutine_handle<> handle) {
   // per run loop instead of per dispatch keeps the two thread-local writes
   // off the per-event path.
   dispatched_.inc();
+  ++dispatch_count_;
   handle.resume();
   if (!finished_.empty()) reap_finished();
 }
 
-std::uint64_t Scheduler::run_until(Cycles until) {
+std::uint64_t Scheduler::run_loop(Cycles limit, const bool* stop) {
   // Child Task frames created while agents run allocate (and freed frames
   // recycle) through this scheduler's arena.
   FrameArena::Scope scope(&arena_);
-  std::uint64_t dispatched = 0;
-  while (const auto handle = take_next(/*limited=*/true, until)) {
+  // Opens the inline window for this loop and restores the enclosing one
+  // on every exit, exceptions included.
+  struct InlineWindow {
+    Scheduler& s;
+    bool saved_open;
+    Cycles saved_limit;
+    const bool* saved_stop;
+    ~InlineWindow() {
+      s.inline_open_ = saved_open;
+      s.inline_limit_ = saved_limit;
+      s.stop_ = saved_stop;
+    }
+  } window{*this, inline_open_, inline_limit_, stop_};
+  inline_open_ = true;
+  inline_limit_ = limit;
+  stop_ = stop;
+  const std::uint64_t start = dispatch_count_;
+  while (!*stop) {
+    const auto handle = take_next(limit);
+    if (!handle) break;
     dispatch(handle);
-    ++dispatched;
   }
-  return dispatched;
+  return dispatch_count_ - start;
 }
 
-bool Scheduler::step() {
-  const auto handle = take_next(/*limited=*/false, 0);
-  if (!handle) return false;
-  FrameArena::Scope scope(&arena_);
-  dispatch(handle);
-  return true;
+std::uint64_t Scheduler::run_until(Cycles until) {
+  return run_loop(until, &kNeverStop);
 }
 
 std::uint64_t Scheduler::run_to_completion() {
+  return run_loop(kNoLimit, &kNeverStop);
+}
+
+std::uint64_t Scheduler::run_until_flag(const bool& flag, Cycles until) {
+  return run_loop(until, &flag);
+}
+
+bool Scheduler::step() {
+  const auto handle = take_next(kNoLimit);
+  if (!handle) return false;
   FrameArena::Scope scope(&arena_);
-  std::uint64_t dispatched = 0;
-  while (const auto handle = take_next(/*limited=*/false, 0)) {
-    dispatch(handle);
-    ++dispatched;
-  }
-  return dispatched;
+  dispatch(handle);  // the inline window is closed outside run_loop
+  return true;
 }
 
 }  // namespace meecc::sim

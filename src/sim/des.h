@@ -6,6 +6,14 @@
 // shared-state mutations — cache fills, MEE walks — happen in global time
 // order.
 //
+// Inline dispatch: inside a run loop, an awaitable whose event would be the
+// very next one dispatched (nothing pending at or before its time, inside
+// the loop's horizon, stop flag clear) does not suspend at all — the agent
+// continues in place and the scheduler books the event exactly as an
+// enqueue + dispatch round trip (sequence number, clock, des.* counters, the
+// loop's return count). Serial stretches such as Algorithm 1's access+clflush
+// loop thus skip the queue entirely; step() never inlines.
+//
 // Composition: agent logic factors into Task<T> sub-coroutines (e.g. "run one
 // eviction test"). Awaiting a Task starts it immediately (symmetric
 // transfer); when the child suspends on a memory operation it parks ITS OWN
@@ -14,6 +22,7 @@
 // exception escaping a top-level Process is rethrown out of the scheduler.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -241,16 +250,43 @@ class Scheduler {
     ++pending_;
   }
 
-  /// Runs events with time <= `until`; returns events processed. Rethrows
-  /// the first exception that escaped a top-level Process.
+  /// Called by awaitables before suspending (await_ready): when the event
+  /// at `when` would be the very next one the running loop dispatches, it
+  /// is booked exactly like an enqueue + dispatch round trip and the
+  /// caller continues without suspending (returns true). Always false
+  /// outside run_until / run_to_completion / run_until_flag.
+  bool dispatch_inline(Cycles when) noexcept {
+    if (!inline_open_) return false;
+    when = std::max(when, now_);
+    // Most selective test first: with peers queued, it fails on the epoch.
+    if (!nothing_pending_by(when) || when > inline_limit_ || *stop_ ||
+        !finished_.empty())
+      return false;
+    scheduled_.inc();
+    ++seq_;
+    dispatched_.inc();
+    ++dispatch_count_;
+    now_ = when;
+    return true;
+  }
+
+  /// Runs events with time <= `until`; returns events processed (inline
+  /// ones included). Rethrows the first exception that escaped a top-level
+  /// Process.
   std::uint64_t run_until(Cycles until);
 
   /// Runs until no events remain.
   std::uint64_t run_to_completion();
 
-  /// Dispatches exactly one event; returns false when none remain.
-  /// Experiment drivers use this to run "until some agent sets a flag"
-  /// without needing a horizon (noise agents run forever).
+  /// Runs events with time <= `until` while `flag` reads false, checking it
+  /// before every dispatch (inline ones included): the experiments' "until
+  /// some agent sets a flag" loop, since noise agents run forever.
+  /// Returns events processed; the caller tells a drained queue (idle())
+  /// from the horizon.
+  std::uint64_t run_until_flag(const bool& flag, Cycles until);
+
+  /// Dispatches exactly one event (never inlines a second); returns false
+  /// when none remain.
   bool step();
 
   /// Time of the most recently dispatched event.
@@ -344,16 +380,35 @@ class Scheduler {
   /// Appends a new TimeBucket slot (vector growth — cold).
   std::uint32_t grow_buckets();
 
+  static constexpr Cycles kNoLimit = ~Cycles{0};
+
   /// Hands out the next runnable handle in (when, seq) order, or nullptr.
   /// Drains the active epoch flat (no heap ops between same-time events),
   /// retiring it and popping the next timestamp off times_ when it runs
-  /// dry. With `limited`, events after `limit` stay queued.
-  std::coroutine_handle<> take_next(bool limited, Cycles limit);
+  /// dry. Events after `limit` stay queued.
+  std::coroutine_handle<> take_next(Cycles limit);
 
   /// The cold tail of take_next: retires a drained epoch and opens the next
   /// bucket (on deck, or popped from the heap past stale entries),
   /// returning its first event.
-  std::coroutine_handle<> take_next_cold(bool limited, Cycles limit);
+  std::coroutine_handle<> take_next_cold(Cycles limit);
+
+  /// True when no pending event has time <= `when`, i.e. an event enqueued
+  /// at `when` now would be dispatched next. Stale heap entries (cancel)
+  /// can only make it answer false, which just declines an inline dispatch.
+  bool nothing_pending_by(Cycles when) const noexcept {
+    if (pending_ == 0) return true;
+    if (epoch_active_ && epoch_pos_ < buckets_[epoch_slot_].ready.size())
+      return false;
+    if (ondeck_slot_ != kNoBucket && buckets_[ondeck_slot_].when <= when)
+      return false;
+    return times_.empty() || times_.top().when > when;
+  }
+
+  /// The shared run loop: dispatches events with time <= `limit` until the
+  /// queue runs dry or `*stop` reads true, with the inline window open for
+  /// the duration.
+  std::uint64_t run_loop(Cycles limit, const bool* stop);
 
   void retire_epoch();
 
@@ -428,17 +483,27 @@ class Scheduler {
   std::vector<std::coroutine_handle<Process::promise_type>> finished_;
   Cycles now_ = 0;
   std::uint64_t seq_ = 0;
+  /// The inline window: open only inside run_loop, which sets the horizon
+  /// and stop flag dispatch_inline must respect.
+  static constexpr bool kNeverStop = false;
+  bool inline_open_ = false;
+  Cycles inline_limit_ = 0;
+  const bool* stop_ = &kNeverStop;
+  /// Events dispatched so far, queued and inline; run_loop returns its
+  /// delta.
+  std::uint64_t dispatch_count_ = 0;
   obs::Counter spawned_;
   obs::Counter scheduled_;
   obs::Counter dispatched_;
 };
 
-/// Awaitable that re-enters the scheduler and resumes at `when`.
+/// Awaitable that re-enters the scheduler and resumes at `when` (in place,
+/// when Scheduler::dispatch_inline allows).
 struct WakeAt {
   Scheduler& scheduler;
   Cycles when;
 
-  bool await_ready() const noexcept { return false; }
+  bool await_ready() noexcept { return scheduler.dispatch_inline(when); }
   void await_suspend(std::coroutine_handle<> h) { scheduler.enqueue(h, when); }
   void await_resume() const noexcept {}
 };

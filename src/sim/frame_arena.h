@@ -80,7 +80,7 @@ class FrameArena {
   void* allocate(std::size_t total);
   void recycle(Header* header) noexcept;
 
-  static thread_local FrameArena* ambient_;
+  static inline thread_local FrameArena* ambient_ = nullptr;
 
   std::vector<void*> chunks_;
   std::size_t active_chunk_ = 0;  // index into chunks_ being bumped

@@ -5,12 +5,16 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "cache/hierarchy.h"
 #include "cache/set_assoc_cache.h"
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "crypto/aes128.h"
@@ -134,6 +138,93 @@ TEST_P(CacheProperty, FillNeverExceedsWaysAndEvictsResidentLine) {
     }
     EXPECT_TRUE(cache.contains(addr));
     EXPECT_LE(cache.occupancy(set), ways);
+  }
+}
+
+// ------------------------------------------------------ LLC sharer plane --
+// Seeded access/clflush streams from 4 cores against a small LLC that
+// evicts, interleaved with flush_all, export/import (the second import of
+// an image takes the O(touched) rewind) and a snapshot wire round trip;
+// images carry no sharer plane. Inclusive hierarchy: every line in core
+// c's L1/L2 sits in the LLC with sharer bit c set. Any policy: a clflushed
+// line is resident nowhere.
+
+class SharerPlaneProperty : public ::testing::TestWithParam<const char*> {};
+
+INSTANTIATE_TEST_SUITE_P(LlcFillPolicies, SharerPlaneProperty,
+                         ::testing::Values("all", "random"));
+
+TEST_P(SharerPlaneProperty, PrivateCopiesStayMarkedAndClflushRemovesAll) {
+  constexpr unsigned kCores = 4;
+  cache::HierarchyConfig config;
+  config.l1 = cache::Geometry{.size_bytes = 1024, .ways = 4};
+  config.l2 = cache::Geometry{.size_bytes = 4 * 1024, .ways = 4};
+  config.llc = cache::Geometry{.size_bytes = 16 * 1024, .ways = 4};
+  config.llc_policy.fill = GetParam();
+  cache::Hierarchy h(config, kCores, Rng(5));
+  const bool inclusive = std::string(GetParam()) == "all";
+  ASSERT_EQ(h.llc().tracks_sharers(), inclusive);
+
+  const auto check_marked = [&](int op) {
+    if (!inclusive) return;
+    for (unsigned c = 0; c < kCores; ++c) {
+      const CoreId core{c};
+      for (const cache::SetAssocCache* level : {&h.l1(core), &h.l2(core)}) {
+        for (std::uint64_t set = 0; set < level->geometry().sets(); ++set) {
+          for (const PhysAddr line : level->resident_lines(set)) {
+            ASSERT_TRUE(h.llc().contains(line))
+                << "op " << op << ": core " << c << " holds 0x" << std::hex
+                << line.raw << " outside the LLC";
+            ASSERT_TRUE(h.llc().sharers_of(line) & (1u << c))
+                << "op " << op << ": core " << c << " unmarked on 0x"
+                << std::hex << line.raw;
+          }
+        }
+      }
+    }
+  };
+  // Mirrors sim::decode_snapshot: decode onto a shape's export.
+  const auto wire_round_trip = [&] {
+    const cache::Hierarchy::State live = h.export_state();
+    io::Writer w;
+    for (unsigned c = 0; c < kCores; ++c) {
+      live.l1[c].encode_state(w);
+      live.l2[c].encode_state(w);
+    }
+    live.llc[0].encode_state(w);
+    const std::string bytes = w.take();
+    cache::Hierarchy shape(config, kCores, Rng(99));
+    cache::Hierarchy::State decoded = shape.export_state();
+    io::Reader r(bytes);
+    for (unsigned c = 0; c < kCores; ++c) {
+      decoded.l1[c].decode_state(r);
+      decoded.l2[c].decode_state(r);
+    }
+    decoded.llc[0].decode_state(r);
+    h.import_state(decoded);
+  };
+
+  Rng rng(6);
+  std::optional<cache::Hierarchy::State> image;
+  for (int op = 0; op < 20'000; ++op) {
+    const std::uint64_t roll = rng.next_below(1000);
+    const PhysAddr addr{rng.next_below(1024) * 64};
+    if (roll < 600) {
+      h.access(CoreId{static_cast<unsigned>(rng.next_below(kCores))}, addr);
+    } else if (roll < 990) {
+      h.clflush(addr);
+      ASSERT_FALSE(h.resident(addr)) << "op " << op;
+    } else if (roll < 992) {
+      h.flush_all();
+    } else if (roll < 995) {
+      image = h.export_state();
+    } else if (roll < 998) {
+      if (image) h.import_state(*image);
+    } else {
+      wire_round_trip();
+    }
+    check_marked(op);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 

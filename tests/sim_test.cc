@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -175,6 +176,94 @@ TEST(Des, DispatchCostIndependentOfHistoricalSpawns) {
   // With the scanning dispatch this ratio is in the hundreds; 8x plus an
   // absolute 10 ms slack absorbs timer noise on loaded CI machines.
   EXPECT_LT(large_history, small_history * 8.0 + 0.01);
+}
+
+// Inline dispatch equivalence: the same multi-agent program — equal-time
+// ties, sleeps, a mid-run spawn and cancel, a stop flag raised mid-run — is
+// driven once one step() at a time (never inline) and once through the run
+// loops (inline wherever allowed). Every resumption logs exactly one entry,
+// so the log is the dispatch sequence.
+struct InlineProgram {
+  obs::Hub hub;
+  Scheduler scheduler;
+  std::vector<std::pair<int, Cycles>> log;
+  bool stop = false;
+  ProcessHandle sleeper;
+
+  InlineProgram() {
+    scheduler.set_hub(&hub);
+    scheduler.spawn(ticker(0, 10, 20));   // A: 0, 10, ..., 200
+    scheduler.spawn(spawner());           // B: ties with A at every tick
+    sleeper = scheduler.spawn(ticker(3, 7, 1'000'000));  // D: cancelled
+    scheduler.spawn(flagger());           // E: raises `stop` at 300
+    scheduler.spawn(ticker(5, 40, 12));   // F: lone tail 240, 280, ...
+  }
+
+  void note(int agent) { log.emplace_back(agent, scheduler.now()); }
+
+  Process ticker(int agent, Cycles period, int count) {
+    note(agent);
+    for (int i = 0; i < count; ++i) {
+      co_await WakeAt{scheduler, scheduler.now() + period};
+      note(agent);
+    }
+  }
+
+  Process spawner() {
+    note(1);
+    for (int i = 1; i <= 20; ++i) {
+      co_await WakeAt{scheduler, scheduler.now() + 10};
+      note(1);
+      if (i == 5) scheduler.spawn(ticker(2, 3, 5), scheduler.now());  // C
+      if (i == 8) {
+        EXPECT_TRUE(scheduler.cancel(sleeper));
+      }
+    }
+  }
+
+  Process flagger() {
+    note(4);
+    co_await WakeAt{scheduler, 300};
+    stop = true;
+    note(40);
+    co_await WakeAt{scheduler, scheduler.now()};  // due now, after the stop
+    note(41);
+    co_await WakeAt{scheduler, scheduler.now() + 1000};
+    note(42);
+  }
+};
+
+TEST(Des, InlineDispatchMatchesSteppedDispatch) {
+  InlineProgram stepped;
+  std::uint64_t steps = 0;
+  while (stepped.scheduler.step()) ++steps;
+  ASSERT_EQ(steps, stepped.log.size());
+
+  InlineProgram run;
+  constexpr Cycles kHorizon = 250;  // F's 240 -> 280 wake crosses it alone
+  const std::uint64_t first = run.scheduler.run_until(kHorizon);
+  std::uint64_t expect_first = 0;
+  while (stepped.log[expect_first].second <= kHorizon) ++expect_first;
+  EXPECT_EQ(first, expect_first);
+  EXPECT_EQ(run.log.size(), first);
+  EXPECT_EQ(run.scheduler.now(), stepped.log[first - 1].second);
+
+  const std::uint64_t second =
+      run.scheduler.run_until_flag(run.stop, ~Cycles{0});
+  EXPECT_TRUE(run.stop);
+  // Stops right after the dispatch that raised the flag (E's entry at 300),
+  // without running E's same-time follow-up inline.
+  ASSERT_EQ(run.log.size(), first + second);
+  EXPECT_EQ(run.log.back(), (std::pair<int, Cycles>{40, 300}));
+  EXPECT_EQ(stepped.log[first + second - 1], run.log.back());
+
+  const std::uint64_t third = run.scheduler.run_to_completion();
+  EXPECT_EQ(first + second + third, steps);
+  EXPECT_EQ(run.log, stepped.log);
+  EXPECT_EQ(run.scheduler.now(), stepped.scheduler.now());
+  EXPECT_EQ(run.scheduler.event_seq(), stepped.scheduler.event_seq());
+  EXPECT_EQ(run.hub.registry().capture(), stepped.hub.registry().capture());
+  EXPECT_EQ(run.scheduler.live_processes(), 0u);
 }
 
 // ---------------------------------------------------------------- system --
